@@ -34,7 +34,6 @@ from .commutator import (
 from .disc import (
     BlaschkeProduct,
     ModelSpace1D,
-    TruncatedDiscSpace,
     blaschke_eval,
     model_space,
     multiplication_operator,
@@ -52,7 +51,6 @@ from .errors import (
     TruncationError,
 )
 from .kernel import (
-    SvdResult,
     hs_norm,
     numerical_rank,
     operator_norm,
@@ -60,7 +58,6 @@ from .kernel import (
     projector_from_basis,
     singular_values,
     subspace_gap,
-    svd,
     tensor_product,
 )
 from .lattice import (

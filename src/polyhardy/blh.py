@@ -29,6 +29,7 @@ from .lattice import (
     Inner,
     PolydiscScenario,
     SubmoduleHandle,
+    interior_mask,
     make_scenario,
     quotient_basis,
     realize_slots,
@@ -95,14 +96,15 @@ def evaluate_symbol(sym: BlhSymbol, z: complex) -> np.ndarray:
 
 
 def pencil_residuals(sym: BlhSymbol) -> dict[str, float]:
-    """Idempotency, orthogonality and complementarity residuals of A and B."""
+    """Idempotency and orthogonality residuals of A and B.
+
+    A is built as I - B, so their complementarity holds by construction.
+    """
     a, b = sym.constant_part, sym.theta_part
-    eye = np.eye(a.shape[0], dtype=complex)
     return {
         "a_idempotent": float(np.linalg.norm(a @ a - a, 2)),
         "b_idempotent": float(np.linalg.norm(b @ b - b, 2)),
         "ab": float(np.linalg.norm(a @ b, 2)),
-        "complementarity": float(np.linalg.norm(a + b - eye, 2)),
     }
 
 
@@ -221,12 +223,8 @@ def shifted_span_gaps(
         containment = kernel.operator_norm(bq.conj().T @ span)
 
     # slack: coordinates whose slot index lies inside the top window
-    top = np.zeros(dims[slot], dtype=bool)
-    top[max(0, n_slot - window + 1) :] = True
-    mask = np.ones(1, dtype=bool)
-    for k, d in enumerate(dims):
-        mask = np.kron(mask, top if k == slot else np.ones(d, dtype=bool)).astype(bool)
-    slack = np.eye(handle.dimension, dtype=complex)[:, mask]
+    top = ~interior_mask(scenario, slot, width=window)
+    slack = np.eye(handle.dimension, dtype=complex)[:, top]
     enlarged = kernel.orthonormal_basis_of_span(np.hstack([stacked, slack]), rel_tol=1e-10)
 
     from .commutator import submodule_basis  # local import avoids a cycle

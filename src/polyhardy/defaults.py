@@ -40,7 +40,11 @@ PROJECTOR_TOL = 1e-10
 COMMUTING_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 
-# Report-level tolerances.
+# Report-level tolerances.  Pencil residuals are judged against
+# PROJECTOR_TOL, projection-sum formulas and the doubly-commuting defect
+# against COMMUTING_TOL.
+SHIFT_INVARIANCE_TOL = 1e-8
+SPAN_GAP_TOL = 1e-7
 STRUCTURAL_AGREEMENT_TOL = 1e-7
 NORM_LAW_TOL = 1e-6
 EQUAL_PROJECTION_TOL = 1e-7

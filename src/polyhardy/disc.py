@@ -33,7 +33,6 @@ from .errors import ContractError, SizingError, TruncationError
 __all__ = [
     "BlaschkeProduct",
     "ModelSpace1D",
-    "TruncatedDiscSpace",
     "blaschke_eval",
     "model_space",
     "multiplication_operator",
@@ -92,17 +91,6 @@ class BlaschkeProduct:
 
     def __hash__(self) -> int:
         return hash((self.zeros, self.constant))
-
-
-@dataclass(frozen=True)
-class TruncatedDiscSpace:
-    """Monomial truncation 1, z, ..., z^N of the one-variable Hardy space."""
-
-    max_degree: int
-
-    @property
-    def dimension(self) -> int:
-        return self.max_degree + 1
 
 
 @dataclass(frozen=True)

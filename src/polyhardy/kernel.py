@@ -10,7 +10,6 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -25,7 +24,6 @@ from .defaults import (
 from .errors import ContractError, NumericError, RankDeficiencyError, SizingError
 
 __all__ = [
-    "SvdResult",
     "as_complex_matrix",
     "hs_norm",
     "kron_all",
@@ -36,7 +34,6 @@ __all__ = [
     "projector_from_basis",
     "singular_values",
     "subspace_gap",
-    "svd",
     "tensor_product",
 ]
 
@@ -51,29 +48,8 @@ def as_complex_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD with singular values sorted non-increasingly."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vh: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vh
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Full (thin) SVD; raises NumericError if LAPACK does not converge."""
-    m = as_complex_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise NumericError(f"SVD did not converge on shape {m.shape}: {exc}") from exc
-    return SvdResult(u=u, singular_values=s, vh=vh)
-
-
 def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, non-increasing; raises NumericError if LAPACK does not converge."""
     m = as_complex_matrix(a)
     if 0 in m.shape:
         return np.zeros(0)

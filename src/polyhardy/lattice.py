@@ -131,6 +131,28 @@ class PolydiscScenario:
         return not self.inner_slots
 
 
+def shrink_degrees(factors, degrees, budget: int) -> tuple[int, ...]:
+    """Best-effort shrink of per-slot degrees toward an ambient ``budget``.
+
+    Repeatedly lowers the largest degree still above its floor (the
+    model-space floor for Inner slots, 2 for FullHardy slots).  Stops when
+    the ambient dimension fits or every slot sits at its floor, so the
+    result may still exceed ``budget``.
+    """
+    degrees = list(degrees)
+    floors = [
+        minimum_truncation(f.product.degree) if isinstance(f, Inner) else 2
+        for f in factors
+    ]
+    while math.prod(d + 1 for d in degrees) > budget:
+        candidates = [i for i in range(len(degrees)) if degrees[i] > floors[i]]
+        if not candidates:
+            break
+        worst = max(candidates, key=lambda i: degrees[i])
+        degrees[worst] -= 1
+    return tuple(degrees)
+
+
 def default_degrees(
     factors: tuple[DiscFactor, ...] | list[DiscFactor],
     *,
@@ -144,24 +166,20 @@ def default_degrees(
     floor) until the ambient dimension fits ``budget``.
     """
     budget = min(budget, cap)
-    degrees = [
-        disc_truncation(f.product.degree) if isinstance(f, Inner) else FULL_SLOT_DEGREE
-        for f in factors
-    ]
-    floors = [
-        minimum_truncation(f.product.degree) if isinstance(f, Inner) else 2
-        for f in factors
-    ]
-    while math.prod(d + 1 for d in degrees) > budget:
-        candidates = [i for i in range(len(degrees)) if degrees[i] > floors[i]]
-        if not candidates:
-            raise SizingError(
-                f"ambient dimension {math.prod(d + 1 for d in degrees)} cannot be "
-                f"reduced below the budget {budget} for these factors"
-            )
-        worst = max(candidates, key=lambda i: degrees[i])
-        degrees[worst] -= 1
-    return tuple(degrees)
+    degrees = shrink_degrees(
+        factors,
+        [
+            disc_truncation(f.product.degree) if isinstance(f, Inner) else FULL_SLOT_DEGREE
+            for f in factors
+        ],
+        budget,
+    )
+    if math.prod(d + 1 for d in degrees) > budget:
+        raise SizingError(
+            f"ambient dimension {math.prod(d + 1 for d in degrees)} cannot be "
+            f"reduced below the budget {budget} for these factors"
+        )
+    return degrees
 
 
 def make_scenario(
@@ -310,10 +328,6 @@ def apply_quotient_projector(handle_slots: list[SlotSpace], x: np.ndarray) -> np
     return y
 
 
-def apply_submodule_projector(handle_slots: list[SlotSpace], x: np.ndarray) -> np.ndarray:
-    return x - apply_quotient_projector(handle_slots, x)
-
-
 def coordinate_shift(scenario: PolydiscScenario, slot: int, *, cap: int = MATRIX_CAP) -> np.ndarray:
     """Ambient matrix of multiplication by the slot coordinate (top degree to 0)."""
     if not 0 <= slot < scenario.n:
@@ -328,19 +342,13 @@ def commuting_projection_sum(
 ) -> np.ndarray:
     """Projector onto the sum of ranges of commuting orthogonal projections.
 
-    Evaluates the two telescoping sums
-
-        P_1(I-P_2)...(I-P_n) + P_2(I-P_3)...(I-P_n) + ... + P_n
-        P_n(I-P_{n-1})...(I-P_1) + ... + P_2(I-P_1) + P_1
-
-    and the product form ``I - prod(I - P_i)``, asserts pairwise agreement
-    within ``tol``, and returns the product form.
+    Checks that the projections commute and that the telescoping and product
+    formulas of ``projection_formula_residuals`` agree within ``tol``, and
+    returns the product form ``I - prod(I - P_i)``.
     """
     mats = [kernel.as_complex_matrix(p) for p in projections]
     if not mats:
         raise ContractError("commuting_projection_sum needs at least one projection")
-    dim = mats[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
     for p in mats:
         kernel.check_projector(p, idem_tol=tol, herm_tol=1e-10)
     worst = 0.0
@@ -350,40 +358,36 @@ def commuting_projection_sum(
     if worst > tol:
         raise ContractError(f"projections do not commute: max commutator norm {worst:.3e}")
 
-    comp = [eye - p for p in mats]
-
-    def telescope(order: list[int]) -> np.ndarray:
-        total = np.zeros_like(eye)
-        for pos, k in enumerate(order):
-            term = mats[k]
-            for l in order[pos + 1 :]:
-                term = term @ comp[l]
-            total = total + term
-        return total
-
-    forward = telescope(list(range(len(mats))))
-    backward = telescope(list(range(len(mats) - 1, -1, -1)))
-    prod = eye.copy()
-    for c in comp:
-        prod = prod @ c
-    product_form = eye - prod
-
-    d1 = float(np.linalg.norm(forward - backward, 2))
-    d2 = float(np.linalg.norm(forward - product_form, 2))
-    d3 = float(np.linalg.norm(backward - product_form, 2))
-    if max(d1, d2, d3) > tol:
+    residuals = projection_formula_residuals(mats)
+    if max(residuals.values()) > tol:
         raise ContractError(
-            f"projection-sum formulas disagree: telescoping {d1:.3e}/{d3:.3e}, "
-            f"product {d2:.3e} (tol {tol:g})"
+            "projection-sum formulas disagree: telescoping "
+            f"{residuals['forward_vs_backward']:.3e}/{residuals['backward_vs_product']:.3e}, "
+            f"product {residuals['forward_vs_product']:.3e} (tol {tol:g})"
         )
-    return product_form
+    return _product_form(mats)
+
+
+def _product_form(mats: list[np.ndarray]) -> np.ndarray:
+    eye = np.eye(mats[0].shape[0], dtype=complex)
+    prod = eye.copy()
+    for p in mats:
+        prod = prod @ (eye - p)
+    return eye - prod
 
 
 def projection_formula_residuals(projections: list[np.ndarray]) -> dict[str, float]:
-    """Pairwise disagreements of the three projection-sum formulas."""
+    """Pairwise disagreements of the three projection-sum formulas.
+
+    The two telescoping sums
+
+        P_1(I-P_2)...(I-P_n) + P_2(I-P_3)...(I-P_n) + ... + P_n
+        P_n(I-P_{n-1})...(I-P_1) + ... + P_2(I-P_1) + P_1
+
+    against each other and against the product form ``I - prod(I - P_i)``.
+    """
     mats = [kernel.as_complex_matrix(p) for p in projections]
-    dim = mats[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(mats[0].shape[0], dtype=complex)
     comp = [eye - p for p in mats]
 
     def telescope(order):
@@ -397,10 +401,7 @@ def projection_formula_residuals(projections: list[np.ndarray]) -> dict[str, flo
 
     forward = telescope(list(range(len(mats))))
     backward = telescope(list(range(len(mats) - 1, -1, -1)))
-    prod = eye.copy()
-    for c in comp:
-        prod = prod @ c
-    product_form = eye - prod
+    product_form = _product_form(mats)
     return {
         "forward_vs_backward": float(np.linalg.norm(forward - backward, 2)),
         "forward_vs_product": float(np.linalg.norm(forward - product_form, 2)),
@@ -567,22 +568,10 @@ def submodule_span_gap(
         mult_cols = multiplication_operator(f.product, scenario.degrees[i])[:, : j_max + 1]
         mats = [np.eye(d, dtype=complex) for d in dims]
         mats[i] = mult_cols
-        block = mats[0]
-        for m in mats[1:]:
-            block = np.kron(block, m)  # rectangular column stack, no cap needed
-        cols.append(block)
+        cols.append(kernel.kron_all(mats, cap=handle.dimension))
     stacked = np.hstack(cols)
     basis = kernel.orthonormal_basis_of_span(stacked, rel_tol=1e-10)
     bq = quotient_basis(handle)
     if bq.shape[1] == 0:
         return 0.0
     return kernel.operator_norm(bq.conj().T @ basis)
-
-
-def complementarity_residual(handle: SubmoduleHandle) -> float:
-    """Norm of P_S + P_Q - I with P_Q assembled independently from slot bases."""
-    pq = kernel.kron_all([s.quotient_projector() for s in handle.slots], cap=MATRIX_CAP)
-    dim = handle.dimension
-    return float(
-        np.linalg.norm(handle.projection + pq - np.eye(dim, dtype=complex), 2)
-    )

@@ -20,17 +20,22 @@ from . import rigidity as rig_mod
 from .defaults import (
     AMBIENT_DIM_BUDGET,
     C0_RESIDUAL_TOL,
+    COMMUTING_TOL,
     DEFAULT_BOUNDARY_GRID,
     DEFAULT_DECAY_SCHEDULE,
     INNER_DEVIATION_TOL,
+    NORM_LAW_TOL,
+    PROJECTOR_TOL,
     RANGE_GAP_TOL,
     RANK_REL_TOL,
+    SHIFT_INVARIANCE_TOL,
+    SPAN_GAP_TOL,
+    STRUCTURAL_AGREEMENT_TOL,
     disc_truncation,
 )
 from .errors import AnalysisFailure, ScenarioError
 from .lattice import (
     PolydiscScenario,
-    complementarity_residual,
     doubly_commuting_check,
     inner_range_projections,
     projection_formula_residuals,
@@ -125,10 +130,9 @@ def _validate_requests(spec: ScenarioSpec, scenario: PolydiscScenario) -> None:
 def _run_project(scenario: PolydiscScenario, options: RunOptions):
     handle = submodule_projection(scenario)
     tolerances = {
-        "complementarity": 1e-9,
-        "projection_formulas": 1e-10,
-        "shift_invariance": 1e-8,
-        "span_gap": 1e-7,
+        "projection_formulas": COMMUTING_TOL,
+        "shift_invariance": SHIFT_INVARIANCE_TOL,
+        "span_gap": SPAN_GAP_TOL,
     }
     results: dict = {
         "ambient_dimension": handle.dimension,
@@ -139,11 +143,6 @@ def _run_project(scenario: PolydiscScenario, options: RunOptions):
     }
     failures: list[str] = []
 
-    comp = complementarity_residual(handle)
-    results["complementarity_residual"] = comp
-    if comp > tolerances["complementarity"]:
-        failures.append(f"complementarity residual {comp:.3e} > 1e-9")
-
     if handle.degenerate:
         results["projection_formulas"] = {"method": "skipped", "reason": "degenerate scenario"}
     elif handle.dimension <= PF_GENERIC_DIM:
@@ -152,8 +151,8 @@ def _run_project(scenario: PolydiscScenario, options: RunOptions):
         )
         results["projection_formulas"] = {"method": "generic", **residuals}
         worst = max(residuals.values())
-        if worst > tolerances["projection_formulas"]:
-            failures.append(f"projection-sum formulas disagree by {worst:.3e} > 1e-10")
+        if worst > COMMUTING_TOL:
+            failures.append(f"projection-sum formulas disagree by {worst:.3e} > {COMMUTING_TOL:g}")
     else:
         results["projection_formulas"] = {
             "method": "skipped",
@@ -164,14 +163,16 @@ def _run_project(scenario: PolydiscScenario, options: RunOptions):
     residuals = [shift_invariance_residual(handle, k) for k in range(scenario.n)]
     results["shift_invariance_residuals"] = residuals
     worst = max(residuals) if residuals else 0.0
-    if worst > tolerances["shift_invariance"]:
-        failures.append(f"interior shift-invariance residual {worst:.3e} > 1e-8")
+    if worst > SHIFT_INVARIANCE_TOL:
+        failures.append(
+            f"interior shift-invariance residual {worst:.3e} > {SHIFT_INVARIANCE_TOL:g}"
+        )
 
     if handle.dimension <= SPAN_GAP_DIM:
         gap = submodule_span_gap(handle)
         results["span_gap"] = gap
-        if gap > tolerances["span_gap"]:
-            failures.append(f"shifted-multiples span gap {gap:.3e} > 1e-7")
+        if gap > SPAN_GAP_TOL:
+            failures.append(f"shifted-multiples span gap {gap:.3e} > {SPAN_GAP_TOL:g}")
     else:
         results["span_gap"] = None
     return results, tolerances, failures
@@ -204,8 +205,8 @@ def _run_commutator(scenario: PolydiscScenario, options: RunOptions, pair):
         )
         failures.extend(f"pair ({i},{j}): {msg}" for msg in report.failures)
     tolerances = {
-        "structural_agreement": 1e-7,
-        "norm_law": 1e-6,
+        "structural_agreement": STRUCTURAL_AGREEMENT_TOL,
+        "norm_law": NORM_LAW_TOL,
         "rank_tol": options.rank_tol,
     }
     return results, tolerances, failures
@@ -231,10 +232,12 @@ def _run_essnorm(scenario: PolydiscScenario, options: RunOptions):
             for e in report.slots
         ],
     }
-    tolerances = {"doubly_commuting": 1e-10}
+    tolerances = {"doubly_commuting": COMMUTING_TOL}
     failures = []
-    if defect > 1e-10:
-        failures.append(f"compressed shifts fail to doubly commute: defect {defect:.3e}")
+    if defect > COMMUTING_TOL:
+        failures.append(
+            f"compressed shifts fail to doubly commute: defect {defect:.3e} > {COMMUTING_TOL:g}"
+        )
     return results, tolerances, failures
 
 
@@ -255,18 +258,25 @@ def _run_blh(scenario: PolydiscScenario, options: RunOptions):
         "wandering_dimension": wandering.shape[1],
     }
     tolerances = {
-        "pencil": 1e-10,
+        "pencil": PROJECTOR_TOL,
         "inner_deviation": INNER_DEVIATION_TOL,
         "range_gap": RANGE_GAP_TOL,
     }
     failures = []
     worst_pencil = max(residuals.values())
-    if worst_pencil > tolerances["pencil"]:
-        failures.append(f"pencil residual {worst_pencil:.3e} > 1e-10")
-    if deviation > tolerances["inner_deviation"]:
-        failures.append(f"boundary inner deviation {deviation:.3e} > 1e-8")
-    if gap > tolerances["range_gap"]:
-        failures.append(f"range gap {gap:.3e} > 1e-6")
+    if worst_pencil > PROJECTOR_TOL:
+        failures.append(f"pencil residual {worst_pencil:.3e} > {PROJECTOR_TOL:g}")
+    if deviation > INNER_DEVIATION_TOL:
+        failures.append(f"boundary inner deviation {deviation:.3e} > {INNER_DEVIATION_TOL:g}")
+    if gap > RANGE_GAP_TOL:
+        failures.append(f"range gap {gap:.3e} > {RANGE_GAP_TOL:g}")
+    # BLH: the wandering subspace is Theta applied to the coefficient space,
+    # an exact integer identity
+    if wandering.shape[1] != sym.coefficient_dimension:
+        failures.append(
+            f"wandering dimension {wandering.shape[1]} != coefficient dimension "
+            f"{sym.coefficient_dimension}"
+        )
     return results, tolerances, failures
 
 
@@ -286,7 +296,9 @@ def _run_c0(scenario: PolydiscScenario, options: RunOptions):
             }
         )
         if residual > C0_RESIDUAL_TOL:
-            failures.append(f"slot {slot}: annihilation residual {residual:.3e} > 1e-8")
+            failures.append(
+                f"slot {slot}: annihilation residual {residual:.3e} > {C0_RESIDUAL_TOL:g}"
+            )
     results = {"slots": entries}
     tolerances = {"residual": C0_RESIDUAL_TOL}
     return results, tolerances, failures
@@ -311,7 +323,7 @@ def _run_rigidity(scenario: PolydiscScenario, second: PolydiscScenario | None, o
     return results, tolerances, []
 
 
-def _run_decay(scenario: PolydiscScenario, options: RunOptions, pair):
+def _run_decay(scenario: PolydiscScenario, options: RunOptions, pair, profiles: list):
     if pair is None:
         inner = scenario.inner_slots
         pair = (inner[0], inner[1])
@@ -328,7 +340,8 @@ def _run_decay(scenario: PolydiscScenario, options: RunOptions, pair):
         "leading_singular_values": [list(s[:6]) for s in profile.singular_values],
     }
     tolerances = {"rank_tol": profile.rank_tol, "plateau_fraction": profile.plateau_fraction}
-    return results, tolerances, [], profile
+    profiles.append(profile)
+    return results, tolerances, []
 
 
 def execute(spec: ScenarioSpec, options: RunOptions | None = None) -> ReportBundle:
@@ -356,24 +369,19 @@ def execute(spec: ScenarioSpec, options: RunOptions | None = None) -> ReportBund
         blocks=[],
     )
 
+    runners = {
+        "project": lambda: _run_project(scenario, options),
+        "commutator": lambda: _run_commutator(scenario, options, spec.pair),
+        "essnorm": lambda: _run_essnorm(scenario, options),
+        "blh": lambda: _run_blh(scenario, options),
+        "c0": lambda: _run_c0(scenario, options),
+        "rigidity": lambda: _run_rigidity(scenario, second_scenario, options),
+        "decay": lambda: _run_decay(scenario, options, spec.pair, bundle.decay_profiles),
+    }
     for analysis in spec.analyses:
         started = time.perf_counter()
         try:
-            if analysis == "project":
-                results, tolerances, failures = _run_project(scenario, options)
-            elif analysis == "commutator":
-                results, tolerances, failures = _run_commutator(scenario, options, spec.pair)
-            elif analysis == "essnorm":
-                results, tolerances, failures = _run_essnorm(scenario, options)
-            elif analysis == "blh":
-                results, tolerances, failures = _run_blh(scenario, options)
-            elif analysis == "c0":
-                results, tolerances, failures = _run_c0(scenario, options)
-            elif analysis == "rigidity":
-                results, tolerances, failures = _run_rigidity(scenario, second_scenario, options)
-            else:
-                results, tolerances, failures, profile = _run_decay(scenario, options, spec.pair)
-                bundle.decay_profiles.append(profile)
+            results, tolerances, failures = runners[analysis]()
         except AnalysisFailure as exc:
             results, tolerances, failures = {"error": str(exc)}, {}, [str(exc)]
         bundle.timings[analysis] = time.perf_counter() - started
@@ -459,10 +467,3 @@ def decay_csv(profile) -> str:
         for idx, value in enumerate(svals):
             lines.append(f"{n},{idx},{value!r}")
     return "\n".join(lines) + "\n"
-
-
-def emit_decay_csv(profile, path) -> None:
-    """Write the decay CSV; byte output is deterministic for identical inputs."""
-    from pathlib import Path
-
-    Path(path).write_text(decay_csv(profile), encoding="utf-8")

@@ -3,9 +3,11 @@
 For submodules whose slots all carry inner factors, unitary equivalence
 holds exactly when the subspaces are equal, so the verdict reduces to a
 projection distance.  Fingerprints collect cheap unitary invariants
-(cross-commutator singular values, quotient and wandering dimensions) that
-certify non-equivalence when they differ.  Every verdict records the
-thresholds it was judged against.
+(cross-commutator singular values, quotient and slot dimensions) that
+certify non-equivalence when they differ.  The wandering dimension is no
+invariant here: it equals the coefficient dimension prod_{k>=1}(N_k + 1),
+fixed by the truncation degrees, which both handles share.  Every verdict
+records the thresholds it was judged against.
 """
 
 from __future__ import annotations
@@ -86,14 +88,12 @@ class Fingerprint:
     slot_dimensions: tuple[int, ...]
     quotient_dimension: int
     cross_commutator_singular_values: tuple[tuple[int, int, tuple[float, ...]], ...]
-    wandering_dimension: int
     degrees: tuple[int, ...]
     rank_tol: float
 
 
 def fingerprint(handle: SubmoduleHandle, *, rank_tol: float = RANK_REL_TOL) -> Fingerprint:
-    """Deterministic invariants: commutator spectra, quotient and wandering dims."""
-    from .blh import wandering_subspace  # local import avoids a cycle
+    """Deterministic invariants: commutator spectra, quotient and slot dimensions."""
     from .commutator import cross_commutator_compressed
 
     scenario = handle.scenario
@@ -111,13 +111,11 @@ def fingerprint(handle: SubmoduleHandle, *, rank_tol: float = RANK_REL_TOL) -> F
             else:
                 kept = svals[:0]
             pairs.append((i, j, tuple(float(s) for s in kept)))
-    wdim = wandering_subspace(handle, 0).shape[1] if not handle.degenerate else 0
     return Fingerprint(
         slot_kinds=kinds,
         slot_dimensions=slot_dims,
         quotient_dimension=handle.quotient_dimension,
         cross_commutator_singular_values=tuple(pairs),
-        wandering_dimension=wdim,
         degrees=scenario.degrees,
         rank_tol=rank_tol,
     )
@@ -126,7 +124,6 @@ def fingerprint(handle: SubmoduleHandle, *, rank_tol: float = RANK_REL_TOL) -> F
 def fingerprint_gap(f1: Fingerprint, f2: Fingerprint) -> float:
     """Largest absolute difference over the comparable invariant fields."""
     gap = float(abs(f1.quotient_dimension - f2.quotient_dimension))
-    gap = max(gap, float(abs(f1.wandering_dimension - f2.wandering_dimension)))
     for d1, d2 in zip(f1.slot_dimensions, f2.slot_dimensions):
         gap = max(gap, float(abs(d1 - d2)))
     sv1 = {(i, j): s for i, j, s in f1.cross_commutator_singular_values}
@@ -237,7 +234,6 @@ def _fingerprint_dict(f: Fingerprint) -> dict:
         "slot_kinds": list(f.slot_kinds),
         "slot_dimensions": list(f.slot_dimensions),
         "quotient_dimension": f.quotient_dimension,
-        "wandering_dimension": f.wandering_dimension,
         "cross_commutator_singular_values": [
             {"pair": [i, j], "values": list(s)}
             for i, j, s in f.cross_commutator_singular_values

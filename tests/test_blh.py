@@ -157,6 +157,28 @@ def test_wandering_degenerate_empty():
     assert wandering_subspace(handle, 0).shape[1] == 0
 
 
+@pytest.mark.parametrize(
+    "factors, degrees",
+    [
+        ([Inner(BlaschkeProduct([0.4])), Inner(BlaschkeProduct([0.3, -0.2j]))], (14, 12)),
+        ([FullHardy(), Inner(BlaschkeProduct([0.3]))], (6, 14)),
+        (
+            [Inner(BlaschkeProduct([0.3])), FullHardy(), Inner(BlaschkeProduct([0.2 + 0.1j]))],
+            (10, 5, 8),
+        ),
+        (
+            [FullHardy(), Inner(BlaschkeProduct([0.4, 0.1])), Inner(BlaschkeProduct([0.3]))],
+            (4, 10, 8),
+        ),
+    ],
+)
+def test_wandering_dimension_is_coefficient_dimension(factors, degrees):
+    # BLH: the wandering subspace for z_0 is Theta applied to the coefficient space
+    sym = build_blh_symbol(make_scenario(factors, degrees))
+    handle = submodule_projection(sym.scenario)
+    assert wandering_subspace(handle, 0).shape[1] == sym.coefficient_dimension
+
+
 def test_wandering_generates_submodule():
     rng = np.random.default_rng(43)
     scn = random_inner_scenario(rng, 2, (24, 24), max_degree=2, max_modulus=0.6)

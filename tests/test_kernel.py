@@ -51,8 +51,7 @@ def test_tensor_cap():
 
 
 def test_svd_diagonal():
-    res = kernel.svd(np.diag([3.0, 1.0]))
-    assert np.allclose(res.singular_values, [3.0, 1.0])
+    assert np.allclose(kernel.singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
 
 
 def test_svd_rank_one():
@@ -66,20 +65,9 @@ def test_svd_rank_one():
     assert np.all(s[1:] <= 1e-12)
 
 
-def test_svd_reconstruction_and_hs_identity():
-    rng = np.random.default_rng(4)
-    m = random_complex_matrix(rng, 5, 5)
-    res = kernel.svd(m)
-    smax = res.singular_values[0]
-    assert np.linalg.norm(m - res.reconstruct(), 2) <= 1e-10 * smax
-    assert np.all(np.diff(res.singular_values) <= 1e-15)
-    entrywise = np.sum(np.abs(m) ** 2)
-    assert abs(np.sum(res.singular_values**2) - entrywise) <= 1e-10 * entrywise
-
-
 def test_svd_rejects_nonfinite():
     with pytest.raises(ContractError):
-        kernel.svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        kernel.singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_numerical_rank_cases():

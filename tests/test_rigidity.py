@@ -108,7 +108,6 @@ def test_fingerprint_degenerate_is_empty():
     h = handle_for([FullHardy(), FullHardy()], (8, 8))
     fp = fingerprint(h)
     assert fp.cross_commutator_singular_values == ()
-    assert fp.wandering_dimension == 0
 
 
 def test_verdict_self_equivalent():
@@ -125,6 +124,22 @@ def test_verdict_not_equivalent_with_certificate():
     assert rec.verdict == "NOT_EQUIVALENT"
     assert rec.certificate is not None
     assert rec.certificate["invariant_gap"] > 1e-3
+
+
+def test_verdict_does_not_need_the_wandering_subspace(monkeypatch):
+    # the wandering dimension is fixed by the degrees, so it is no invariant
+    # and the verdict must not compute it
+    from polyhardy import blh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wandering_subspace called")
+
+    monkeypatch.setattr(blh, "wandering_subspace", refuse)
+    h1 = handle_for([Inner(BlaschkeProduct([0.5])), z_factor()], (20, 20))
+    h2 = handle_for([Inner(BlaschkeProduct([0.3])), z_factor()], (20, 20))
+    rec = equivalence_verdict(h1, h2)
+    assert rec.verdict == "NOT_EQUIVALENT"
+    assert rec.certificate is not None
 
 
 def test_verdict_proper_vs_full_module():
