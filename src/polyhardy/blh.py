@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .defaults import GRAM_TOL, MATRIX_CAP, TAIL_WINDOW
-from .disc import BlaschkeProduct, blaschke_eval, taylor_coefficients
+from .disc import BlaschkeProduct, blaschke_eval, multiplication_operator, taylor_coefficients
 from .errors import ContractError, SizingError
 from .lattice import (
     Inner,
@@ -153,32 +153,54 @@ def symbol_columns(sym: BlhSymbol) -> np.ndarray:
     )
 
 
+def _projector_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of ran p and ran(I - p) for an orthogonal projector p."""
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5], v[:, w <= 0.5]
+
+
+def _tail_window(n_slot: int, window: int | None) -> int:
+    """Top-window width for a slot of degree ``n_slot``; None picks the default."""
+    if window is None:
+        window = min(TAIL_WINDOW, max(1, (n_slot + 1) // 2))
+    if not 1 <= window <= n_slot:
+        raise SizingError(
+            f"tail window {window} does not fit the slot truncation {n_slot}"
+        )
+    return window
+
+
 def wandering_subspace(
     handle: SubmoduleHandle,
     slot: int = 0,
     *,
     threshold: float = 0.5,
-    max_dimension: int = 2500,
 ) -> np.ndarray:
     """Orthonormal basis of ran(P_S - M_slot P_S M_slot*).
 
     Eigenvectors of the Hermitian difference with eigenvalue above
-    ``threshold``; the spectrum is near-binary, with boundary effects
-    confined to the top degree of the shifted slot.
+    ``threshold`` in (0, 1).  With the slot axis first, S the slot shift and
+    Q_r the quotient projector of the other slots, the difference is
+
+        e_0 e_0* x (I - Q_r)  +  D_0 x Q_r,   D_0 = e_0 e_0* - Q_slot + S Q_slot S*,
+
+    so the basis is ``[e_0 x ran(I - Q_r), v_0 x ran Q_r]`` with v_0 the
+    eigenvectors of the slot-sized D_0 above ``threshold``.  The spectrum is
+    near-binary, with boundary effects confined to the top degree of the
+    shifted slot.
     """
-    dim = handle.dimension
-    if dim > max_dimension:
-        raise SizingError(
-            f"wandering-subspace eigendecomposition at dimension {dim} exceeds "
-            f"the bound {max_dimension}; use smaller truncation degrees"
-        )
-    dims = tuple(s.dimension for s in handle.slots)
-    s = handle.slots[slot].shift
-    ps = handle.projection
-    shifted = slot_apply(s, slot_apply(s, ps.conj().T, slot, dims).conj().T, slot, dims)
-    r = ps - shifted
-    w, v = np.linalg.eigh((r + r.conj().T) / 2.0)
-    return v[:, w > threshold]
+    own = handle.slots[slot]
+    rest = [s for k, s in enumerate(handle.slots) if k != slot]
+    u_b, u_a = _projector_split(kernel.kron_all([s.quotient_projector() for s in rest]))
+    e0 = np.zeros((own.dimension, 1), dtype=complex)
+    e0[0] = 1.0
+    q = own.quotient_projector()
+    d0 = e0 @ e0.T - q + own.shift @ q @ own.shift.conj().T
+    w, v = np.linalg.eigh(d0)
+    basis = np.hstack([np.kron(e0, u_a), np.kron(v[:, w > threshold], u_b)])
+    dims = (own.dimension,) + tuple(s.dimension for s in rest)
+    basis = np.moveaxis(basis.reshape(dims + (-1,)), 0, slot)
+    return np.ascontiguousarray(basis).reshape(handle.dimension, -1)
 
 
 def shifted_span_gaps(
@@ -195,17 +217,14 @@ def shifted_span_gaps(
     into that span enlarged by the top-window coordinate slack (the
     truncation boundary the shifts cannot reach).  ``window=None`` picks
     the default tail window clamped to the slot degree.
+
+    Dense ambient route for arbitrary columns; ``verify_range`` computes
+    the same gaps for the symbol columns from per-slot factors.
     """
     scenario = handle.scenario
     dims = tuple(s.dimension for s in handle.slots)
-    n_slot = scenario.degrees[slot]
-    if window is None:
-        window = min(TAIL_WINDOW, max(1, (n_slot + 1) // 2))
-    if not 1 <= window <= n_slot:
-        raise SizingError(
-            f"tail window {window} does not fit the slot truncation {n_slot}"
-        )
-    l_max = n_slot - window
+    window = _tail_window(scenario.degrees[slot], window)
+    l_max = scenario.degrees[slot] - window
     blocks = [columns]
     current = columns
     for _ in range(l_max):
@@ -248,12 +267,49 @@ def verify_range(
     The handle must share the symbol scenario's truncation degrees; a large
     gap flags a handle built from different factors.  Returns the larger of
     the containment and generation gaps of
-    ``span{z_0^l Theta (coefficient basis)}`` against ran P_S.
+    ``span{z_0^l Theta (coefficient basis)}`` against ran P_S, the quantity
+    ``shifted_span_gaps(handle, symbol_columns(sym))`` computes densely.
+
+    Factorwise, with l <= l_max = N_0 - window, T_theta = span{S^l theta_0},
+    T_e = span{e_l} and E the top-window slot-0 coordinates, the shifted
+    span is T_theta x ran B + T_e x ran A, and T_e + E is the whole slot.
+    Slot-0 factors q_0 and the coefficient factor q_r of the quotient basis
+    come from the handle, B from the symbol, so a mismatched handle shows.
     """
     if sym.scenario.degrees != handle.scenario.degrees:
         raise ContractError(
             "symbol and handle have different truncation degrees: "
             f"{sym.scenario.degrees} vs {handle.scenario.degrees}"
         )
-    gaps = shifted_span_gaps(handle, symbol_columns(sym), slot=0, window=window)
-    return max(gaps["containment"], gaps["generation"])
+    n0 = sym.scenario.degrees[0]
+    l_max = n0 - _tail_window(n0, window)
+    q0 = handle.slots[0].quotient_basis
+    qr = kernel.kron_all([s.quotient_basis for s in handle.slots[1:]])
+    u_b, u_a = _projector_split(sym.theta_part)
+    shifted_theta = multiplication_operator(sym.theta0, n0)[:, : l_max + 1]
+
+    u_theta = kernel.orthonormal_basis_of_span(shifted_theta, rel_tol=1e-10)
+    containment = kernel.operator_norm(
+        np.hstack(
+            [
+                np.kron(q0.conj().T @ u_theta, qr.conj().T @ u_b),
+                np.kron(q0[: l_max + 1].conj().T, qr.conj().T @ u_a),
+            ]
+        )
+    )
+
+    # the enlarged span is (T_theta + E) x ran B + everything x ran A, so its
+    # complement is U_perp x ran B, U_perp the slot-0 complement of T_theta + E;
+    # the gap is || P_S (U_perp x U_B) ||, split over ran(I - Q_0) and ran Q_0
+    top = np.eye(n0 + 1, dtype=complex)[:, l_max + 1 :]
+    u, s, _ = np.linalg.svd(np.hstack([shifted_theta, top]))
+    u_perp = u[:, s <= 1e-10 * s[0]]
+    generation = kernel.operator_norm(
+        np.vstack(
+            [
+                np.kron(u_perp - q0 @ (q0.conj().T @ u_perp), np.eye(u_b.shape[1])),
+                np.kron(q0.conj().T @ u_perp, u_b - qr @ (qr.conj().T @ u_b)),
+            ]
+        )
+    )
+    return max(containment, min(1.0, generation))

@@ -552,26 +552,24 @@ def submodule_span_gap(
     Columns are truncations of ``z^alpha * theta_i`` with the slot-i index
     kept ``window`` slots below the top; their span should sit inside the
     submodule up to tail products.
+
+    Computed per slot: with U_i an orthonormal basis of the kept slot-i
+    multiplication columns and q_i the slot quotient basis, the compressed
+    span projector is ``q_Q* P_V q_Q = I - (x)_i q_i* (I - U_i U_i*) q_i``, so
+    the gap is ``sqrt(1 - prod_i (1 - s_i^2))`` with ``s_i = ||q_i* U_i||``.
     """
     scenario = handle.scenario
-    if handle.degenerate:
+    if handle.quotient_dimension == 0:
         return 0.0
-    dims = scenario.dims
-    cols: list[np.ndarray] = []
+    # no Inner slot (degenerate scenario): empty product, gap 0
+    log_kept = 0.0
     for i in scenario.inner_slots:
-        f = scenario.factors[i]
-        assert isinstance(f, Inner)
-        deg = f.product.degree
-        j_max = scenario.degrees[i] - deg - window
-        if j_max < 0:
-            j_max = 0  # keep at least the theta column itself
-        mult_cols = multiplication_operator(f.product, scenario.degrees[i])[:, : j_max + 1]
-        mats = [np.eye(d, dtype=complex) for d in dims]
-        mats[i] = mult_cols
-        cols.append(kernel.kron_all(mats, cap=handle.dimension))
-    stacked = np.hstack(cols)
-    basis = kernel.orthonormal_basis_of_span(stacked, rel_tol=1e-10)
-    bq = quotient_basis(handle)
-    if bq.shape[1] == 0:
-        return 0.0
-    return kernel.operator_norm(bq.conj().T @ basis)
+        product = scenario.factors[i].product
+        # keep at least the theta column itself
+        j_max = max(0, scenario.degrees[i] - product.degree - window)
+        mult_cols = multiplication_operator(product, scenario.degrees[i])[:, : j_max + 1]
+        u = kernel.orthonormal_basis_of_span(mult_cols, rel_tol=1e-10)
+        s = kernel.operator_norm(handle.slots[i].quotient_basis.conj().T @ u)
+        log_kept += math.log1p(-s * s)
+    # expm1 keeps 1 - prod(...) exact near 0; abs() turns sqrt(-0.0) into 0.0
+    return abs(math.sqrt(-math.expm1(log_kept)))

@@ -48,7 +48,6 @@ from .scenario import ScenarioSpec, build_scenario, scenario_echo
 
 TOOL_NAME = "polyhardy"
 PF_GENERIC_DIM = 512
-SPAN_GAP_DIM = 1024
 
 __all__ = [
     "AnalysisBlock",
@@ -168,13 +167,10 @@ def _run_project(scenario: PolydiscScenario, options: RunOptions):
             f"interior shift-invariance residual {worst:.3e} > {SHIFT_INVARIANCE_TOL:g}"
         )
 
-    if handle.dimension <= SPAN_GAP_DIM:
-        gap = submodule_span_gap(handle)
-        results["span_gap"] = gap
-        if gap > SPAN_GAP_TOL:
-            failures.append(f"shifted-multiples span gap {gap:.3e} > {SPAN_GAP_TOL:g}")
-    else:
-        results["span_gap"] = None
+    gap = submodule_span_gap(handle)
+    results["span_gap"] = gap
+    if gap > SPAN_GAP_TOL:
+        failures.append(f"shifted-multiples span gap {gap:.3e} > {SPAN_GAP_TOL:g}")
     return results, tolerances, failures
 
 

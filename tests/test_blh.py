@@ -206,3 +206,14 @@ def test_symbol_reordering_leaves_range_invariant():
     span_a = orthonormal_basis_of_span(cols_a)
     span_b = orthonormal_basis_of_span(swapped)
     assert symmetric_gap(span_a, span_b) <= 1e-10
+
+
+def test_wandering_at_dimension_2601():
+    # D = 51 * 51 = 2601: the basis needs no ambient-size eigendecomposition
+    scn = make_scenario(
+        [Inner(BlaschkeProduct([0.5, -0.3j])), Inner(BlaschkeProduct([0.4 + 0.2j]))], (50, 50)
+    )
+    sym = build_blh_symbol(scn)
+    handle = submodule_projection(sym.scenario)
+    assert handle.dimension == 2601
+    assert wandering_subspace(handle, 0).shape[1] == sym.coefficient_dimension

@@ -1,0 +1,228 @@
+"""Factorwise range gap, span gap and wandering basis against dense ambient oracles.
+
+The production routes in ``blh`` and ``lattice`` work on per-slot factors;
+the helpers below compute each quantity from ambient-size stacks and
+decompositions and serve as their oracles.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyhardy import (
+    BlaschkeProduct,
+    FullHardy,
+    Inner,
+    build_blh_symbol,
+    make_scenario,
+    submodule_projection,
+    verify_range,
+    wandering_subspace,
+)
+from polyhardy.blh import shifted_span_gaps, symbol_columns
+from polyhardy.defaults import SPAN_GAP_TOL, TAIL_WINDOW
+from polyhardy.disc import multiplication_operator
+from polyhardy.kernel import (
+    kron_all,
+    operator_norm,
+    orthonormal_basis_of_span,
+    symmetric_gap,
+)
+from polyhardy.lattice import quotient_basis, slot_apply, submodule_span_gap
+from polyhardy.report import execute
+from polyhardy.scenario import parse_scenario_dict
+
+ORACLE_TOL = 1e-12
+BASIS_GAP_TOL = 1e-10
+
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def dense_wandering_subspace(handle, slot, threshold=0.5):
+    dims = tuple(s.dimension for s in handle.slots)
+    s = handle.slots[slot].shift
+    ps = handle.projection
+    shifted = slot_apply(s, slot_apply(s, ps.conj().T, slot, dims).conj().T, slot, dims)
+    r = ps - shifted
+    w, v = np.linalg.eigh((r + r.conj().T) / 2.0)
+    return v[:, w > threshold]
+
+
+def dense_span_gap(handle, window=TAIL_WINDOW):
+    scenario = handle.scenario
+    if handle.degenerate:
+        return 0.0
+    cols = []
+    for i in scenario.inner_slots:
+        product = scenario.factors[i].product
+        j_max = max(0, scenario.degrees[i] - product.degree - window)
+        mats = [np.eye(d, dtype=complex) for d in scenario.dims]
+        mats[i] = multiplication_operator(product, scenario.degrees[i])[:, : j_max + 1]
+        cols.append(kron_all(mats, cap=handle.dimension))
+    basis = orthonormal_basis_of_span(np.hstack(cols), rel_tol=1e-10)
+    bq = quotient_basis(handle)
+    if bq.shape[1] == 0:
+        return 0.0
+    return operator_norm(bq.conj().T @ basis)
+
+
+def dense_range_gap(sym, handle, window=None):
+    gaps = shifted_span_gaps(handle, symbol_columns(sym), slot=0, window=window)
+    return max(gaps["containment"], gaps["generation"])
+
+
+def range_rounding_allowance(sym, window=None):
+    """How far rounding alone may move the range gap of either route.
+
+    Both routes cut the slot-0 stacks ``[S^l theta_0]`` and ``[S^l theta_0,
+    top window]`` at 1e-10 of their largest singular value.  A backward
+    error of a few eps moves the kept span by about eps over the smallest
+    kept singular value (Wedin's sin-theta bound), which is large when
+    theta_0(0) is small and the shifts reach far.
+    """
+    n0 = sym.scenario.degrees[0]
+    if window is None:
+        window = min(TAIL_WINDOW, max(1, (n0 + 1) // 2))
+    shifted = multiplication_operator(sym.theta0, n0)[:, : n0 - window + 1]
+    smallest = math.inf
+    for stack in (shifted, np.hstack([shifted, np.eye(n0 + 1)[:, n0 - window + 1 :]])):
+        s = np.linalg.svd(stack, compute_uv=False)
+        smallest = min(smallest, s[s > 1e-10 * s[0]].min())
+    return 16 * np.finfo(float).eps / smallest
+
+
+# Zero moduli stay below the radius at which a slot of degree N still
+# passes the 1e-6 Gram check (the tail decays like rho^N).
+def _max_modulus(degree):
+    return min(0.5, 10.0 ** (-8.0 / (degree + 1)))
+
+
+@st.composite
+def factor_lists(draw, degrees):
+    factors = []
+    for n in degrees:
+        if draw(st.booleans()):
+            factors.append(FullHardy())
+            continue
+        zero_count = min(n, draw(st.sampled_from([1, 2, 0])))
+        radius = _max_modulus(n)
+        zeros = [
+            draw(st.floats(0.0, radius)) * np.exp(2j * np.pi * draw(st.integers(0, 7)) / 8)
+            for _ in range(zero_count)
+        ]
+        constant = np.exp(2j * np.pi * draw(st.integers(0, 3)) / 4)
+        factors.append(Inner(BlaschkeProduct(zeros, constant)))
+    return factors
+
+
+# ambient dimension at most 400: n=2 up to (19, 19), n=3 up to (6, 6, 6),
+# n=4 up to (3, 3, 3, 3)
+DEGREE_RANGES = {2: (4, 19), 3: (3, 6), 4: (2, 3)}
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    lo, hi = DEGREE_RANGES[n]
+    degrees = tuple(draw(st.integers(lo, hi)) for _ in range(n))
+    factors = draw(factor_lists(degrees))
+    if all(isinstance(f, FullHardy) for f in factors):
+        factors[draw(st.integers(0, n - 1))] = Inner(BlaschkeProduct([0.0]))
+    return make_scenario(factors, degrees)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_range_gap_matches_dense_oracle(data):
+    scenario = data.draw(scenarios())
+    sym = build_blh_symbol(scenario)
+    degrees = sym.scenario.degrees
+    window = data.draw(st.one_of(st.none(), st.integers(1, degrees[0])))
+    handle = submodule_projection(sym.scenario)
+    tol = ORACLE_TOL + range_rounding_allowance(sym, window)
+    gap = verify_range(sym, handle, window=window)
+    assert abs(gap - dense_range_gap(sym, handle, window)) <= tol
+    # a handle of other factors with the same degrees
+    other = make_scenario(data.draw(factor_lists(degrees)), degrees)
+    mismatched = submodule_projection(other)
+    gap = verify_range(sym, mismatched, window=window)
+    assert abs(gap - dense_range_gap(sym, mismatched, window)) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_wandering_basis_matches_dense_oracle(data):
+    scenario = data.draw(scenarios())
+    handle = submodule_projection(scenario)
+    slot = data.draw(st.integers(0, scenario.n - 1))
+    w = wandering_subspace(handle, slot)
+    dense = dense_wandering_subspace(handle, slot)
+    assert w.shape == dense.shape
+    assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]), 2) <= BASIS_GAP_TOL
+    assert symmetric_gap(w, dense) <= BASIS_GAP_TOL
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_span_gap_matches_dense_oracle(data):
+    handle = submodule_projection(data.draw(scenarios()))
+    window = data.draw(st.integers(0, TAIL_WINDOW))
+    gap = submodule_span_gap(handle, window=window)
+    assert abs(gap - dense_span_gap(handle, window)) <= ORACLE_TOL
+    assert math.copysign(1.0, gap) == 1.0
+
+
+def test_no_ambient_size_decomposition(monkeypatch):
+    # every SVD, eigh and QR stays within one slot or the coefficient space
+    scenario = make_scenario(
+        [Inner(BlaschkeProduct([0.4, -0.3j])), Inner(BlaschkeProduct([0.5]))], (31, 31)
+    )
+    sym = build_blh_symbol(scenario)
+    handle = submodule_projection(scenario)
+    bound = max(scenario.dims[0], math.prod(scenario.dims[1:]))
+    shapes = []
+
+    def recording(name):
+        original = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            shapes.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    verify_range(sym, handle)
+    wandering_subspace(handle, 0)
+    submodule_span_gap(handle)
+    assert shapes
+    too_large = [(name, shape) for name, shape in shapes if min(shape[-2:]) > bound]
+    assert not too_large
+
+
+def _project_span_gap(slots):
+    spec = parse_scenario_dict(
+        {"schema_version": 1, "n": len(slots), "slots": slots, "analyses": ["project"]}
+    )
+    block = execute(spec).blocks[0]
+    assert block.status == "ok"
+    return block.results["span_gap"]
+
+
+def test_span_gap_reported_above_dimension_1024():
+    slot = {"kind": "blaschke", "zeros": [[0.3, 0.1]], "degree": 32}
+    gap = _project_span_gap([slot, dict(slot, zeros=[[-0.2, 0.0]])])
+    assert isinstance(gap, float)
+    assert gap <= SPAN_GAP_TOL
+
+
+def test_span_gap_has_no_negative_zero():
+    slot = {"kind": "blaschke", "zeros": [[0.0, 0.0]], "degree": 6}
+    gap = _project_span_gap([slot, slot, slot])
+    assert gap == 0.0
+    assert math.copysign(1.0, gap) == 1.0
