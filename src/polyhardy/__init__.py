@@ -25,8 +25,7 @@ from .commutator import (
     EssentialNormalityReport,
     c0_annihilation,
     commutator_report,
-    cross_commutator_bruteforce,
-    cross_commutator_compressed,
+    cross_commutator_spectrum,
     cross_commutator_structural,
     essential_dc_diagnostic,
     essential_normality_check,

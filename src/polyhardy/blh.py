@@ -203,6 +203,15 @@ def wandering_subspace(
     return np.ascontiguousarray(basis).reshape(handle.dimension, -1)
 
 
+def submodule_basis(handle: SubmoduleHandle) -> np.ndarray:
+    """Orthonormal basis of ran P_S: completion of the quotient basis."""
+    bq = quotient_basis(handle)
+    if bq.shape[1] == 0:
+        return np.eye(handle.dimension, dtype=complex)
+    q, _ = np.linalg.qr(bq, mode="complete")
+    return q[:, bq.shape[1] :]
+
+
 def shifted_span_gaps(
     handle: SubmoduleHandle,
     columns: np.ndarray,
@@ -245,8 +254,6 @@ def shifted_span_gaps(
     top = ~interior_mask(scenario, slot, width=window)
     slack = np.eye(handle.dimension, dtype=complex)[:, top]
     enlarged = kernel.orthonormal_basis_of_span(np.hstack([stacked, slack]), rel_tol=1e-10)
-
-    from .commutator import submodule_basis  # local import avoids a cycle
 
     bs = submodule_basis(handle)
     if bs.shape[1] == 0:

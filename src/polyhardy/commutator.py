@@ -8,9 +8,12 @@ ambient truncated shifts and the submodule projection alone; at matched
 truncation the two agree to float rounding, which is the oracle check every
 report asserts.
 
-Norm, rank and Hilbert-Schmidt data come from a compressed assembly whose
-Inner factors are computed at a high one-variable truncation independent of
-the ambient degrees, so geometric tails sit far below every tolerance.
+Norm, rank and Hilbert-Schmidt data come from the singular values of a
+compressed Kronecker word whose two Inner pair factors are computed at a
+high one-variable truncation independent of the ambient degrees, so
+geometric tails sit far below every tolerance.  The word itself is never
+formed: its singular values are products of the pair factors' singular
+values.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ import numpy as np
 from . import kernel
 from .defaults import (
     AGREEMENT_DIM_BUDGET,
+    AGREEMENT_GRAM_TOL,
+    HS_NORM_SLACK,
+    MIXED_PAIR_ZERO_TOL,
     NORM_LAW_TOL,
     RANK_REL_TOL,
     STRUCTURAL_AGREEMENT_TOL,
-    TAIL_WINDOW,
     disc_truncation,
 )
 from .disc import (
     BlaschkeProduct,
-    model_space,
     predicted_compression_norm,
     rank_one_compression,
 )
@@ -44,7 +48,6 @@ from .lattice import (
     SubmoduleHandle,
     apply_quotient_projector,
     make_scenario,
-    quotient_basis,
     shrink_degrees,
     slot_apply,
     submodule_projection,
@@ -56,8 +59,7 @@ __all__ = [
     "EssentialNormalityReport",
     "c0_annihilation",
     "commutator_report",
-    "cross_commutator_bruteforce",
-    "cross_commutator_compressed",
+    "cross_commutator_spectrum",
     "cross_commutator_structural",
     "essential_dc_diagnostic",
     "essential_normality_check",
@@ -128,23 +130,6 @@ def cross_commutator_bruteforce_ambient(handle: SubmoduleHandle, i: int, j: int)
     return t1 - t2
 
 
-def submodule_basis(handle: SubmoduleHandle) -> np.ndarray:
-    """Orthonormal basis of ran P_S: completion of the quotient basis."""
-    bq = quotient_basis(handle)
-    dim = handle.dimension
-    if bq.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    q, _ = np.linalg.qr(bq, mode="complete")
-    return q[:, bq.shape[1] :]
-
-
-def cross_commutator_bruteforce(handle: SubmoduleHandle, i: int, j: int) -> np.ndarray:
-    """Brute-force cross commutator compressed to an orthonormal basis of ran P_S."""
-    ambient = cross_commutator_bruteforce_ambient(handle, i, j)
-    bs = submodule_basis(handle)
-    return bs.conj().T @ ambient @ bs
-
-
 def cross_commutator_structural(handle: SubmoduleHandle, i: int, j: int) -> np.ndarray:
     """Kronecker-factorized cross commutator, embedded in the ambient space.
 
@@ -170,51 +155,47 @@ def cross_commutator_structural(handle: SubmoduleHandle, i: int, j: int) -> np.n
     return kernel.kron_all(mats, cap=handle.dimension)
 
 
-def cross_commutator_compressed(
-    scenario: PolydiscScenario,
-    i: int,
-    j: int,
-    *,
-    precision_degrees: tuple[int, ...] | None = None,
-    window: int = TAIL_WINDOW,
+def cross_commutator_spectrum(
+    scenario: PolydiscScenario, i: int, j: int
 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """High-precision compressed assembly of the cross commutator.
+    """Singular values of the high-precision compressed cross commutator.
 
-    Returns (matrix, factor dimensions, precision degrees).  Inner pair
-    slots contribute the rank-one compression computed at a high
-    one-variable truncation; other Inner slots contribute model-space
-    identities, FullHardy slots truncated identities at the scenario degree.
+    Returns (singular values, factor dimensions, precision degrees).  The
+    compressed commutator is the Kronecker word with the rank-one
+    compression c_i on slot i, c_j* on slot j, both at a high one-variable
+    truncation, model-space identities on the other Inner slots and
+    truncated identities on FullHardy slots.  Its singular values are the
+    products of the two pair factors' singular values, each repeated once
+    per identity dimension, zero-padded to min(rows, cols) of the word; the
+    word itself is never formed.
     """
     _check_pair(scenario, i, j)
-    bi = _require_inner(scenario, i)
-    bj = _require_inner(scenario, j)
-    if precision_degrees is None:
-        precision_degrees = tuple(
-            disc_truncation(f.product.degree) if isinstance(f, Inner) else scenario.degrees[k]
-            for k, f in enumerate(scenario.factors)
-        )
-    mats: list[np.ndarray] = []
-    dims: list[int] = []
+    pair = {i: _require_inner(scenario, i), j: _require_inner(scenario, j)}
+    precision = tuple(
+        disc_truncation(f.product.degree) if isinstance(f, Inner) else scenario.degrees[k]
+        for k, f in enumerate(scenario.factors)
+    )
+    shapes: list[tuple[int, int]] = []
+    spectra: list[np.ndarray] = []
     for k, f in enumerate(scenario.factors):
-        if k in (i, j):
-            b = bi if k == i else bj
-            if b.degree == 0:
+        if k in pair:
+            if pair[k].degree == 0:
                 # constant inner factor: empty model space, empty compression
-                mats.append(np.zeros((0, 1), dtype=complex))
-                dims.append(0)
+                shapes.append((0, 1))
+                spectra.append(np.zeros(0))
                 continue
-            c = rank_one_compression(b, precision_degrees[k], window=window)
-            mats.append(c if k == i else c.conj().T)
-            dims.append(c.shape[0] if k == i else c.shape[1])
-        elif isinstance(f, Inner):
-            mats.append(np.eye(f.product.degree, dtype=complex))
-            dims.append(f.product.degree)
+            c = rank_one_compression(pair[k], precision[k])
+            c = c if k == i else c.conj().T
+            shapes.append(c.shape)
+            spectra.append(kernel.singular_values(c))
         else:
-            d = scenario.degrees[k] + 1
-            mats.append(np.eye(d, dtype=complex))
-            dims.append(d)
-    # no ambient cap on this route: staged decay scenarios run past it
-    return kernel.kron_all(mats, cap=math.inf), tuple(dims), precision_degrees
+            d = f.product.degree if isinstance(f, Inner) else scenario.degrees[k] + 1
+            shapes.append((d, d))
+    identity = math.prod(r for k, (r, _) in enumerate(shapes) if k not in pair)
+    products = np.repeat(np.outer(spectra[0], spectra[1]).ravel(), identity)
+    svals = np.zeros(min(math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)))
+    svals[: products.size] = np.sort(products)[::-1]
+    return svals, tuple(r for r, _ in shapes), precision
 
 
 def commutator_report(
@@ -224,7 +205,7 @@ def commutator_report(
     *,
     rank_tol: float = RANK_REL_TOL,
     agreement_budget: int = AGREEMENT_DIM_BUDGET,
-    agreement_gram_tol: float = 1e-2,
+    agreement_gram_tol: float = AGREEMENT_GRAM_TOL,
     raise_on_failure: bool = True,
     leading: int = 8,
 ) -> CommutatorReport:
@@ -260,8 +241,7 @@ def commutator_report(
                 f"structural vs brute-force error {agreement_error:.3e} > "
                 f"{STRUCTURAL_AGREEMENT_TOL:g}"
             )
-        compressed, dims, precision = cross_commutator_compressed(scenario, i, j)
-        svals = kernel.singular_values(compressed)
+        svals, dims, precision = cross_commutator_spectrum(scenario, i, j)
         predicted = predicted_compression_norm(fi.product) * predicted_compression_norm(
             fj.product
         )
@@ -271,16 +251,13 @@ def commutator_report(
         # the ambient matrix is supported on ran P_S both sides, so its
         # nonzero singular values already are those of the compression
         svals = kernel.singular_values(oracle)
-        svals = svals[svals > 1e-14 * max(1.0, svals[0])] if svals.size else svals
+        svals = svals[svals > MIXED_PAIR_ZERO_TOL * max(1.0, svals[0])] if svals.size else svals
         dims = tuple(s.quotient_dimension for s in handle.slots)
         precision = agree_degrees
 
     op_norm = float(svals[0]) if svals.size else 0.0
     hs = float(np.sqrt(np.sum(svals**2)))
-    if svals.size and svals[0] > 0:
-        rank = int(np.count_nonzero(svals > rank_tol * svals[0]))
-    else:
-        rank = 0
+    rank = kernel.spectrum_rank(svals, rank_tol)
     identity_dim = math.prod(
         d for k, d in enumerate(dims) if k not in (i, j)
     ) if both_inner else 0
@@ -294,7 +271,7 @@ def commutator_report(
     # an infinite-dimensional identity factor instead
     if scenario.n == 2 and both_inner and rank > 1:
         failures.append(f"two-variable cross commutator has numerical rank {rank} > 1")
-    if op_norm > hs + 1e-12:
+    if op_norm > hs + HS_NORM_SLACK:
         failures.append(f"operator norm {op_norm!r} exceeds HS norm {hs!r}")
 
     report = CommutatorReport(
@@ -373,15 +350,11 @@ def essential_dc_diagnostic(
             n_free if isinstance(f, FullHardy) else scenario.degrees[k]
             for k, f in enumerate(scenario.factors)
         )
-        # staged scenarios only feed the compressed route, so the ambient
-        # tensor cap does not apply to them
+        # staged scenarios only feed the spectrum route, which assembles no
+        # ambient tensor, so the ambient cap does not apply to them
         staged = PolydiscScenario(factors=scenario.factors, degrees=degrees)
-        compressed, _, _ = cross_commutator_compressed(staged, i, j)
-        svals = kernel.singular_values(compressed)
-        if svals.size and svals[0] > 0:
-            rank = int(np.count_nonzero(svals > rank_tol * svals[0]))
-        else:
-            rank = 0
+        svals, _, _ = cross_commutator_spectrum(staged, i, j)
+        rank = kernel.spectrum_rank(svals, rank_tol)
         ranks.append(rank)
         plateau_counts.append(int(np.count_nonzero(svals >= plateau_fraction * predicted)))
         # keep the rank plus a short sub-threshold tail as evidence
@@ -508,17 +481,11 @@ def c0_annihilation(q: QuotientHandle, slot: int) -> float:
     f = q.scenario.factors[slot]
     if not isinstance(f, Inner):
         raise ContractError(f"slot {slot} is not an Inner slot")
-    c = q.compressed_shift_factors[slot][slot]
+    return _c0_residual(f.product, q.compressed_shift_factors[slot][slot])
+
+
+def _c0_residual(b: BlaschkeProduct, c: np.ndarray) -> float:
+    """Operator norm of b(C) for a compressed shift C; zero on an empty model space."""
     if c.shape[0] == 0:
         return 0.0
-    return kernel.operator_norm(blaschke_of_matrix(f.product, c))
-
-
-def c0_annihilation_precise(b: BlaschkeProduct, *, truncation: int | None = None) -> float:
-    """Annihilation residual on a freshly built high-precision model space."""
-    if b.degree == 0:
-        return 0.0
-    if truncation is None:
-        truncation = disc_truncation(b.degree)
-    space = model_space(b, truncation)
-    return kernel.operator_norm(blaschke_of_matrix(b, space.compressed_shift))
+    return kernel.operator_norm(blaschke_of_matrix(b, c))

@@ -33,6 +33,7 @@ __all__ = [
     "orthonormalize",
     "projector_from_basis",
     "singular_values",
+    "spectrum_rank",
     "subspace_gap",
     "tensor_product",
 ]
@@ -69,14 +70,18 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(as_complex_matrix(a)))
 
 
+def spectrum_rank(s: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+    """Count of a non-increasing spectrum above ``rel_tol * s[0]``; 0 if empty or zero."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rel_tol * s[0]))
+
+
 def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular values above ``rel_tol * sigma_max``; 0 for the zero matrix."""
     if not 0.0 < rel_tol < 1.0:
         raise ContractError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return spectrum_rank(singular_values(a), rel_tol)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray, *, cap: int = MATRIX_CAP) -> np.ndarray:

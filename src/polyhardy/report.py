@@ -33,6 +33,7 @@ from .defaults import (
     STRUCTURAL_AGREEMENT_TOL,
     disc_truncation,
 )
+from .disc import model_space
 from .errors import AnalysisFailure, ScenarioError
 from .lattice import (
     PolydiscScenario,
@@ -278,19 +279,17 @@ def _run_blh(scenario: PolydiscScenario, options: RunOptions):
 
 def _run_c0(scenario: PolydiscScenario, options: RunOptions):
     # slot-level claim, so evaluate on high-precision model spaces rather
-    # than the ambient truncation
+    # than the ambient truncation; a constant factor has an empty one
     entries = []
     failures = []
     for slot in scenario.inner_slots:
         product = scenario.factors[slot].product
-        residual = comm_mod.c0_annihilation_precise(product)
-        entries.append(
-            {
-                "slot": slot,
-                "residual": residual,
-                "truncation": None if product.degree == 0 else disc_truncation(product.degree),
-            }
+        truncation = disc_truncation(product.degree) if product.degree else None
+        shift = (
+            model_space(product, truncation).compressed_shift if truncation else np.zeros((0, 0))
         )
+        residual = comm_mod._c0_residual(product, shift)
+        entries.append({"slot": slot, "residual": residual, "truncation": truncation})
         if residual > C0_RESIDUAL_TOL:
             failures.append(
                 f"slot {slot}: annihilation residual {residual:.3e} > {C0_RESIDUAL_TOL:g}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import kernel
+from .commutator import cross_commutator_spectrum
 from .defaults import (
     EQUAL_PROJECTION_TOL,
     FINGERPRINT_GAP_TOL,
@@ -94,8 +95,6 @@ class Fingerprint:
 
 def fingerprint(handle: SubmoduleHandle, *, rank_tol: float = RANK_REL_TOL) -> Fingerprint:
     """Deterministic invariants: commutator spectra, quotient and slot dimensions."""
-    from .commutator import cross_commutator_compressed
-
     scenario = handle.scenario
     kinds = tuple("inner" if isinstance(f, Inner) else "full" for f in scenario.factors)
     slot_dims = tuple(s.quotient_dimension for s in handle.slots)
@@ -104,12 +103,8 @@ def fingerprint(handle: SubmoduleHandle, *, rank_tol: float = RANK_REL_TOL) -> F
     for a in range(len(inner)):
         for b in range(a + 1, len(inner)):
             i, j = inner[a], inner[b]
-            mat, _, _ = cross_commutator_compressed(scenario, i, j)
-            svals = kernel.singular_values(mat)
-            if svals.size and svals[0] > 0:
-                kept = svals[svals > rank_tol * svals[0]]
-            else:
-                kept = svals[:0]
+            svals, _, _ = cross_commutator_spectrum(scenario, i, j)
+            kept = svals[: kernel.spectrum_rank(svals, rank_tol)]
             pairs.append((i, j, tuple(float(s) for s in kept)))
     return Fingerprint(
         slot_kinds=kinds,

@@ -1,13 +1,16 @@
-"""Factorwise range gap, span gap and wandering basis against dense ambient oracles.
+"""Factorwise routes against dense oracles.
 
-The production routes in ``blh`` and ``lattice`` work on per-slot factors;
-the helpers below compute each quantity from ambient-size stacks and
-decompositions and serve as their oracles.
+The production routes in ``blh``, ``lattice`` and ``commutator`` work on
+per-slot factors: range gap, span gap, wandering basis and the spectrum of
+the compressed cross commutator.  The helpers below compute each quantity
+from ambient-size stacks, Kronecker words and decompositions and serve as
+their oracles.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,18 +21,23 @@ from polyhardy import (
     FullHardy,
     Inner,
     build_blh_symbol,
+    commutator_report,
+    cross_commutator_spectrum,
+    essential_dc_diagnostic,
+    fingerprint,
     make_scenario,
     submodule_projection,
     verify_range,
     wandering_subspace,
 )
 from polyhardy.blh import shifted_span_gaps, symbol_columns
-from polyhardy.defaults import SPAN_GAP_TOL, TAIL_WINDOW
-from polyhardy.disc import multiplication_operator
+from polyhardy.defaults import SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
+from polyhardy.disc import multiplication_operator, rank_one_compression
 from polyhardy.kernel import (
     kron_all,
     operator_norm,
     orthonormal_basis_of_span,
+    singular_values,
     symmetric_gap,
 )
 from polyhardy.lattice import quotient_basis, slot_apply, submodule_span_gap
@@ -73,6 +81,24 @@ def dense_span_gap(handle, window=TAIL_WINDOW):
 def dense_range_gap(sym, handle, window=None):
     gaps = shifted_span_gaps(handle, symbol_columns(sym), slot=0, window=window)
     return max(gaps["containment"], gaps["generation"])
+
+
+def dense_compressed_word(scenario, i, j):
+    """The compressed cross commutator as a Kronecker word, every factor formed."""
+    mats = []
+    for k, f in enumerate(scenario.factors):
+        if k in (i, j):
+            b = f.product
+            if b.degree == 0:
+                mats.append(np.zeros((0, 1), dtype=complex))
+                continue
+            c = rank_one_compression(b, disc_truncation(b.degree))
+            mats.append(c if k == i else c.conj().T)
+        elif isinstance(f, Inner):
+            mats.append(np.eye(f.product.degree, dtype=complex))
+        else:
+            mats.append(np.eye(scenario.degrees[k] + 1, dtype=complex))
+    return reduce(np.kron, mats)
 
 
 def range_rounding_allowance(sym, window=None):
@@ -176,14 +202,50 @@ def test_span_gap_matches_dense_oracle(data):
     assert math.copysign(1.0, gap) == 1.0
 
 
-def test_no_ambient_size_decomposition(monkeypatch):
-    # every SVD, eigh and QR stays within one slot or the coefficient space
-    scenario = make_scenario(
-        [Inner(BlaschkeProduct([0.4, -0.3j])), Inner(BlaschkeProduct([0.5]))], (31, 31)
-    )
-    sym = build_blh_symbol(scenario)
-    handle = submodule_projection(scenario)
-    bound = max(scenario.dims[0], math.prod(scenario.dims[1:]))
+@st.composite
+def spectrum_cases(draw):
+    """A scenario and an Inner pair (i, j), with the compressed word at most ~400 rows.
+
+    The pair factors have about 40 domain columns at the precision
+    truncation, so the pair degrees stay at most 3 and the identity
+    dimension of the other slots at most 4.
+    """
+    n = draw(st.sampled_from([2, 3, 4]))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    factors, degrees = [], []
+    for k in range(n):
+        if k in (i, j):
+            top = 3 if n == 2 else 2
+            zeros = [
+                draw(st.floats(0.0, 0.6)) * np.exp(2j * np.pi * draw(st.integers(0, 7)) / 8)
+                for _ in range(min(top, draw(st.sampled_from([1, 2, 3, 0]))))
+            ]
+            factors.append(Inner(BlaschkeProduct(zeros)))
+            degrees.append(4)
+        elif draw(st.booleans()):
+            factors.append(FullHardy())
+            degrees.append(draw(st.sampled_from([1, 2, 3] if n == 3 else [1])))
+        else:
+            degree = min(3 if n == 3 else 2, draw(st.sampled_from([1, 2, 3, 0])))
+            factors.append(Inner(BlaschkeProduct([0.3 * np.exp(0.7j * m) for m in range(degree)])))
+            degrees.append(4)
+    return make_scenario(factors, degrees), i, j
+
+
+@PROPERTY_SETTINGS
+@given(case=spectrum_cases())
+def test_commutator_spectrum_matches_dense_word(case):
+    scenario, i, j = case
+    svals, dims, _ = cross_commutator_spectrum(scenario, i, j)
+    word = dense_compressed_word(scenario, i, j)
+    assert math.prod(dims) == word.shape[0]
+    dense = singular_values(word)
+    assert svals.shape == dense.shape
+    assert np.all(np.abs(svals - dense) <= ORACLE_TOL)
+
+
+def _recorded_shapes(monkeypatch):
+    """Shapes of every operand passed to numpy's SVD, eigh and QR from now on."""
     shapes = []
 
     def recording(name):
@@ -197,6 +259,39 @@ def test_no_ambient_size_decomposition(monkeypatch):
 
     for name in ("svd", "eigh", "qr"):
         monkeypatch.setattr(np.linalg, name, recording(name))
+    return shapes
+
+
+def test_no_commutator_decomposition_beyond_one_slot(monkeypatch):
+    # the largest slot factor has disc_truncation + 1 = 61 rows
+    pinned = make_scenario(
+        [Inner(BlaschkeProduct([0.3, -0.2j])), FullHardy(), Inner(BlaschkeProduct([0.4j]))],
+        (20, 2, 16),
+    )
+    all_inner = make_scenario(
+        [Inner(BlaschkeProduct([0.2])), Inner(BlaschkeProduct([0.3, 0.1j])), Inner(BlaschkeProduct([-0.4]))],
+        (8, 8, 8),
+    )
+    handles = [submodule_projection(s) for s in (pinned, all_inner)]
+    shapes = _recorded_shapes(monkeypatch)
+    for handle in handles:
+        essential_dc_diagnostic(handle.scenario, (0, 2), (20, 30, 40))
+        fingerprint(handle)
+        commutator_report(handle.scenario, 0, 2)
+    assert shapes
+    too_large = [(name, shape) for name, shape in shapes if min(shape[-2:]) > 61]
+    assert not too_large
+
+
+def test_no_ambient_size_decomposition(monkeypatch):
+    # every SVD, eigh and QR stays within one slot or the coefficient space
+    scenario = make_scenario(
+        [Inner(BlaschkeProduct([0.4, -0.3j])), Inner(BlaschkeProduct([0.5]))], (31, 31)
+    )
+    sym = build_blh_symbol(scenario)
+    handle = submodule_projection(scenario)
+    bound = max(scenario.dims[0], math.prod(scenario.dims[1:]))
+    shapes = _recorded_shapes(monkeypatch)
     verify_range(sym, handle)
     wandering_subspace(handle, 0)
     submodule_span_gap(handle)
