@@ -54,9 +54,6 @@ RANGE_GAP_TOL = 1e-6
 C0_RESIDUAL_TOL = 1e-8
 # Operator norm may exceed the Hilbert-Schmidt norm by at most this rounding.
 HS_NORM_SLACK = 1e-12
-# Mixed-pair commutator singular values at or below this fraction of
-# max(1, sigma_max) are rounding of an exactly vanishing operator.
-MIXED_PAIR_ZERO_TOL = 1e-14
 # Gram tolerance of the small agreement-degree handle in commutator reports;
 # the oracle comparison there is float-exact at any truncation.
 AGREEMENT_GRAM_TOL = 1e-2

@@ -300,7 +300,9 @@ def slot_apply(op: np.ndarray, x: np.ndarray, slot: int, dims: tuple[int, ...]) 
     """Apply ``I x ... x op x ... x I`` (op at ``slot``) to the columns of x.
 
     Equivalent to ``kron_all(identities with op at slot) @ x`` but costs
-    O(rows(x) * cols(x) * dims[slot]) instead of a full dense product.
+    O(rows(x) * cols(x) * dims[slot]) instead of a full dense product: one
+    batched matmul over the slots before ``slot``, with the slots after it
+    and the columns of x flattened into the matmul's column axis.
     """
     rows = math.prod(dims)
     if x.shape[0] != rows:
@@ -309,11 +311,8 @@ def slot_apply(op: np.ndarray, x: np.ndarray, slot: int, dims: tuple[int, ...]) 
         raise ContractError(
             f"operator acts on dimension {op.shape[1]}, slot {slot} has {dims[slot]}"
         )
-    tail = x.shape[1:]
-    xr = x.reshape(dims + tail)
-    y = np.tensordot(op, xr, axes=([1], [slot]))
-    y = np.moveaxis(y, 0, slot)
-    return np.ascontiguousarray(y).reshape((op.shape[0] * rows // dims[slot],) + tail)
+    y = np.matmul(op, x.reshape(math.prod(dims[:slot]), dims[slot], -1))
+    return y.reshape((op.shape[0] * rows // dims[slot],) + x.shape[1:])
 
 
 def apply_quotient_projector(handle_slots: list[SlotSpace], x: np.ndarray) -> np.ndarray:

@@ -20,10 +20,12 @@ from polyhardy import (
     quotient_assembly,
     submodule_projection,
 )
+from polyhardy import commutator
 from polyhardy.commutator import (
     blaschke_of_matrix,
     cross_commutator_bruteforce_ambient,
 )
+from polyhardy.defaults import STRUCTURAL_AGREEMENT_TOL
 from polyhardy.disc import blaschke_eval, predicted_compression_norm
 from polyhardy.errors import ContractError
 
@@ -124,8 +126,26 @@ def test_report_mixed_pair_has_no_prediction():
     scn = make_scenario([z_factor(), FullHardy()], (10, 8))
     rep = commutator_report(scn, 0, 1)
     assert rep.predicted_norm is None
-    assert rep.structural_vs_oracle_error is None
+    assert isinstance(rep.structural_vs_oracle_error, float)
+    assert rep.structural_vs_oracle_error <= STRUCTURAL_AGREEMENT_TOL
     assert not rep.failures
+
+
+def test_report_mixed_pair_judges_the_oracle(monkeypatch):
+    # the structural route of a mixed pair is zero, so a perturbed oracle
+    # must show up as a structural-vs-brute-force failure
+    original = commutator.cross_commutator_bruteforce_ambient
+
+    def perturbed(handle, i, j):
+        out = original(handle, i, j)
+        out[0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(commutator, "cross_commutator_bruteforce_ambient", perturbed)
+    scn = make_scenario([z_factor(), FullHardy()], (10, 8))
+    rep = commutator_report(scn, 0, 1, raise_on_failure=False)
+    assert any("structural vs brute-force" in f for f in rep.failures)
+    assert rep.structural_vs_oracle_error >= 1e-6
 
 
 def test_report_mixed_pair_commutator_vanishes():

@@ -4,7 +4,8 @@ The production routes in ``blh``, ``lattice`` and ``commutator`` work on
 per-slot factors: range gap, span gap, wandering basis and the spectrum of
 the compressed cross commutator.  The helpers below compute each quantity
 from ambient-size stacks, Kronecker words and decompositions and serve as
-their oracles.
+their oracles.  The ambient brute-force commutator, itself the oracle of
+``commutator_report``, is checked against its three-projection form.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from polyhardy import (
     wandering_subspace,
 )
 from polyhardy.blh import shifted_span_gaps, symbol_columns
+from polyhardy.commutator import cross_commutator_bruteforce_ambient
 from polyhardy.defaults import SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
 from polyhardy.disc import multiplication_operator, rank_one_compression
 from polyhardy.kernel import (
@@ -40,11 +42,17 @@ from polyhardy.kernel import (
     singular_values,
     symmetric_gap,
 )
-from polyhardy.lattice import quotient_basis, slot_apply, submodule_span_gap
+from polyhardy.lattice import (
+    apply_quotient_projector,
+    quotient_basis,
+    slot_apply,
+    submodule_span_gap,
+)
 from polyhardy.report import execute
 from polyhardy.scenario import parse_scenario_dict
 
 ORACLE_TOL = 1e-12
+OPERATOR_ORACLE_TOL = 1e-13
 BASIS_GAP_TOL = 1e-10
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -99,6 +107,21 @@ def dense_compressed_word(scenario, i, j):
         else:
             mats.append(np.eye(scenario.degrees[k] + 1, dtype=complex))
     return reduce(np.kron, mats)
+
+
+def three_projection_oracle(handle, i, j):
+    """P_S M_j M_i* P_S - P_S M_j P_S M_i* P_S, projecting each term separately."""
+    dims = tuple(s.dimension for s in handle.slots)
+
+    def proj(x):
+        return x - apply_quotient_projector(handle.slots, x)
+
+    si = handle.slots[i].shift
+    sj = handle.slots[j].shift
+    t1 = proj(slot_apply(sj, slot_apply(si.conj().T, handle.projection, i, dims), j, dims))
+    t2 = proj(slot_apply(si.conj().T, handle.projection, i, dims))
+    t2 = proj(slot_apply(sj, t2, j, dims))
+    return t1 - t2
 
 
 def range_rounding_allowance(sym, window=None):
@@ -244,6 +267,17 @@ def test_commutator_spectrum_matches_dense_word(case):
     assert np.all(np.abs(svals - dense) <= ORACLE_TOL)
 
 
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_regrouped_oracle_matches_three_projections(data):
+    scenario = data.draw(scenarios())
+    pair = st.lists(st.integers(0, scenario.n - 1), min_size=2, max_size=2, unique=True)
+    i, j = sorted(data.draw(pair))
+    handle = submodule_projection(scenario)
+    regrouped = cross_commutator_bruteforce_ambient(handle, i, j)
+    assert np.linalg.norm(regrouped - three_projection_oracle(handle, i, j)) <= OPERATOR_ORACLE_TOL
+
+
 def _recorded_shapes(monkeypatch):
     """Shapes of every operand passed to numpy's SVD, eigh and QR from now on."""
     shapes = []
@@ -278,6 +312,9 @@ def test_no_commutator_decomposition_beyond_one_slot(monkeypatch):
         essential_dc_diagnostic(handle.scenario, (0, 2), (20, 30, 40))
         fingerprint(handle)
         commutator_report(handle.scenario, 0, 2)
+    # mixed pairs: the oracle is judged by its norm, not decomposed
+    for i, j in ((0, 1), (1, 2)):
+        commutator_report(pinned, i, j)
     assert shapes
     too_large = [(name, shape) for name, shape in shapes if min(shape[-2:]) > 61]
     assert not too_large

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -38,14 +41,23 @@ def z_factor():
 
 def test_slot_apply_matches_dense_kron():
     rng = np.random.default_rng(20)
-    dims = (3, 4, 2)
-    x = random_complex_matrix(rng, 24, 5)
-    for slot in range(3):
-        op = random_complex_matrix(rng, dims[slot], dims[slot])
+    # (dims, slot, rows of op, columns of x or None for a 1-D vector)
+    cases = [((3, 4, 2), slot, d, 5) for slot, d in enumerate((3, 4, 2))]
+    # rectangular operators: the slot changes dimension
+    cases += [((3, 4, 2), 0, 5, 5), ((3, 4, 2), 1, 2, 5), ((3, 4, 2), 2, 3, 5)]
+    cases += [((3, 4, 2), 1, 4, None), ((3, 4, 2), 2, 3, None)]
+    # the last slot of an n=4 product
+    cases += [((2, 3, 2, 3), 3, 3, 4), ((2, 3, 2, 3), 3, 2, None)]
+    for dims, slot, rows, cols in cases:
+        x = random_complex_matrix(rng, math.prod(dims), cols or 1)
+        if cols is None:
+            x = x[:, 0]
+        op = random_complex_matrix(rng, rows, dims[slot])
         mats = [np.eye(d, dtype=complex) for d in dims]
         mats[slot] = op
-        dense = np.kron(np.kron(mats[0], mats[1]), mats[2]) @ x
+        dense = reduce(np.kron, mats) @ x
         fast = slot_apply(op, x, slot, dims)
+        assert fast.shape == dense.shape
         assert np.linalg.norm(dense - fast) <= 1e-12 * max(1.0, np.linalg.norm(dense))
 
 
