@@ -63,11 +63,9 @@ from .lattice import (
     FullHardy,
     Inner,
     PolydiscScenario,
-    QuotientHandle,
     SubmoduleHandle,
     commuting_projection_sum,
     coordinate_shift,
-    doubly_commuting_check,
     make_scenario,
     quotient_assembly,
     submodule_projection,

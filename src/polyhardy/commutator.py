@@ -31,6 +31,7 @@ from .defaults import (
     AGREEMENT_DIM_BUDGET,
     AGREEMENT_GRAM_TOL,
     HS_NORM_SLACK,
+    NONCOMPACT_PLATEAU_FRACTION,
     NORM_LAW_TOL,
     RANK_REL_TOL,
     STRUCTURAL_AGREEMENT_TOL,
@@ -46,7 +47,6 @@ from .lattice import (
     FullHardy,
     Inner,
     PolydiscScenario,
-    QuotientHandle,
     SubmoduleHandle,
     apply_quotient_projector,
     make_scenario,
@@ -311,7 +311,6 @@ def essential_dc_diagnostic(
     schedule,
     *,
     rank_tol: float = RANK_REL_TOL,
-    plateau_fraction: float = 0.5,
 ) -> DecayProfile:
     """Track cross-commutator singular values as FullHardy truncations grow.
 
@@ -319,8 +318,8 @@ def essential_dc_diagnostic(
     factors are computed at high one-variable precision throughout.  The
     verdict is FINITE_RANK when the numerical rank is the same at every
     schedule point, NONCOMPACT_LIKELY when the count of singular values
-    above ``plateau_fraction * predicted`` grows strictly with the schedule,
-    and COMPACT_LIKELY otherwise.
+    above ``NONCOMPACT_PLATEAU_FRACTION * predicted`` grows strictly with
+    the schedule, and COMPACT_LIKELY otherwise.
     """
     i, j = pair
     _check_pair(scenario, i, j)
@@ -345,7 +344,9 @@ def essential_dc_diagnostic(
         svals, _, _ = cross_commutator_spectrum(staged, i, j)
         rank = kernel.spectrum_rank(svals, rank_tol)
         ranks.append(rank)
-        plateau_counts.append(int(np.count_nonzero(svals >= plateau_fraction * predicted)))
+        plateau_counts.append(
+            int(np.count_nonzero(svals >= NONCOMPACT_PLATEAU_FRACTION * predicted))
+        )
         # keep the rank plus a short sub-threshold tail as evidence
         snapshots.append(tuple(float(s) for s in svals[: min(svals.size, rank + 4)]))
 
@@ -367,7 +368,7 @@ def essential_dc_diagnostic(
         predicted_norm=predicted,
         verdict=verdict,
         rank_tol=rank_tol,
-        plateau_fraction=plateau_fraction,
+        plateau_fraction=NONCOMPACT_PLATEAU_FRACTION,
     )
 
 
@@ -388,21 +389,23 @@ class EssentialNormalityReport:
     quotient_dimension: int | None
 
 
-def essential_normality_check(q: QuotientHandle) -> EssentialNormalityReport:
+def essential_normality_check(handle: SubmoduleHandle) -> EssentialNormalityReport:
     """Per-slot self-commutators of the compressed shifts, verdict from types.
 
-    The quotient is essentially normal exactly when every slot is Inner
-    (finite-dimensional factors).  A FullHardy slot contributes the
-    truncated full shift whose self-commutator picks up a finite-section
-    artifact at the top degree; the interior-restricted rank (one) reflects
-    the untruncated operator.
+    Each slot's compressed shift is read from ``handle.slots[k]``; the
+    quotient is their tensor product, so the slot factors carry every
+    self-commutator.  The quotient is essentially normal exactly when every
+    slot is Inner (finite-dimensional factors).  A FullHardy slot
+    contributes the truncated full shift whose self-commutator picks up a
+    finite-section artifact at the top degree; the interior-restricted rank
+    (one) reflects the untruncated operator.
     """
     entries: list[SlotSelfCommutator] = []
     all_inner = True
-    for k, f in enumerate(q.scenario.factors):
-        slot = q.slots[k]
+    for k, f in enumerate(handle.scenario.factors):
+        slot = handle.slots[k]
         if isinstance(f, Inner):
-            c = q.compressed_shift_factors[k][k]
+            c = slot.compressed_shift
             comm = c.conj().T @ c - c @ c.conj().T
             entries.append(
                 SlotSelfCommutator(
@@ -434,7 +437,7 @@ def essential_normality_check(q: QuotientHandle) -> EssentialNormalityReport:
     return EssentialNormalityReport(
         verdict="ESSENTIALLY_NORMAL" if all_inner else "NOT_ESSENTIALLY_NORMAL",
         slots=tuple(entries),
-        quotient_dimension=q.dimension if all_inner else None,
+        quotient_dimension=handle.quotient_dimension if all_inner else None,
     )
 
 
@@ -461,16 +464,17 @@ def blaschke_of_matrix(b: BlaschkeProduct, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def c0_annihilation(q: QuotientHandle, slot: int) -> float:
+def c0_annihilation(handle: SubmoduleHandle, slot: int) -> float:
     """Residual norm of the slot symbol evaluated on its compressed shift.
 
-    Computed at the handle's truncation; the residual inherits the slot's
-    geometric tail, so short truncations show larger values.
+    The compressed shift is ``handle.slots[slot].compressed_shift``, at the
+    handle's truncation; the residual inherits the slot's geometric tail,
+    so short truncations show larger values.
     """
-    f = q.scenario.factors[slot]
+    f = handle.scenario.factors[slot]
     if not isinstance(f, Inner):
         raise ContractError(f"slot {slot} is not an Inner slot")
-    return _c0_residual(f.product, q.compressed_shift_factors[slot][slot])
+    return _c0_residual(f.product, handle.slots[slot].compressed_shift)
 
 
 def _c0_residual(b: BlaschkeProduct, c: np.ndarray) -> float:

@@ -41,8 +41,7 @@ COMMUTING_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 
 # Report-level tolerances.  Pencil residuals are judged against
-# PROJECTOR_TOL, projection-sum formulas and the doubly-commuting defect
-# against COMMUTING_TOL.
+# PROJECTOR_TOL, projection-sum formulas against COMMUTING_TOL.
 SHIFT_INVARIANCE_TOL = 1e-8
 SPAN_GAP_TOL = 1e-7
 STRUCTURAL_AGREEMENT_TOL = 1e-7

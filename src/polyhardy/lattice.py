@@ -23,12 +23,20 @@ with ``Q_i`` the slot model-space projector for Inner slots and the identity
 for FullHardy slots.  Because each ``Q_i`` comes from re-orthonormalized
 columns, ``P_S`` is Hermitian idempotent to float rounding at any
 truncation, and all structural identities below hold to rounding as well.
+
+One ``SubmoduleHandle`` per realized scenario carries the slot factors:
+quotient bases, truncated shifts and compressed shifts.  The quotient is
+the tensor product of the slot quotients, so every analysis works on those
+factors; the dense ambient ``P_S`` is assembled only when
+``SubmoduleHandle.projection`` is first read, which only the brute-force
+commutator oracle does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +65,10 @@ __all__ = [
     "FullHardy",
     "Inner",
     "PolydiscScenario",
-    "QuotientHandle",
     "SubmoduleHandle",
     "commuting_projection_sum",
     "coordinate_shift",
     "default_degrees",
-    "doubly_commuting_check",
     "make_scenario",
     "quotient_assembly",
     "slot_apply",
@@ -219,6 +225,19 @@ class SlotSpace:
             return np.eye(self.dimension, dtype=complex)
         return self.quotient_basis @ self.quotient_basis.conj().T
 
+    @property
+    def compressed_shift(self) -> np.ndarray:
+        """The slot shift compressed to the quotient factor, in its basis.
+
+        The model compressed shift for Inner slots, the truncated shift on a
+        FullHardy slot and a 0x0 matrix for a degree-0 factor.
+        """
+        if self.model is not None:
+            return self.model.compressed_shift
+        if self.quotient_dimension == self.dimension:
+            return self.shift
+        return np.zeros((0, 0), dtype=complex)
+
 
 def slot_spaces(scenario: PolydiscScenario, *, gram_tol: float = GRAM_TOL) -> list[SlotSpace]:
     """Realize every slot of a scenario at its truncation degree."""
@@ -256,44 +275,31 @@ def realize_slots(
 
 @dataclass(frozen=True)
 class SubmoduleHandle:
-    """Realized submodule: its ambient projection plus per-slot data."""
+    """Realized submodule: per-slot factors; P_S is assembled on first read."""
 
     scenario: PolydiscScenario
-    projection: np.ndarray  # P_S on the ambient truncated basis
-    inner_slots: tuple[int, ...]
     slots: list[SlotSpace] = field(repr=False)
-    degenerate: bool
-    gram_tol: float
 
     @property
     def dimension(self) -> int:
-        return self.projection.shape[0]
+        return self.scenario.dimension
+
+    @property
+    def degenerate(self) -> bool:
+        return self.scenario.degenerate
 
     @property
     def quotient_dimension(self) -> int:
         return math.prod(s.quotient_dimension for s in self.slots)
 
-
-@dataclass(frozen=True)
-class QuotientHandle:
-    """Realized quotient: per-slot factor bases and compressed shifts."""
-
-    scenario: PolydiscScenario
-    slots: list[SlotSpace] = field(repr=False)
-    factor_bases: list[np.ndarray] = field(repr=False)
-    compressed_shift_factors: list[list[np.ndarray]] = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return math.prod(b.shape[1] for b in self.factor_bases)
-
-    @property
-    def factor_dimensions(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.factor_bases)
-
-    def compressed_shift(self, slot: int) -> np.ndarray:
-        """Assembled compressed shift for one variable, on the quotient basis."""
-        return kernel.kron_all(self.compressed_shift_factors[slot], cap=MATRIX_CAP)
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """P_S on the ambient truncated basis; zero for a degenerate scenario."""
+        dim = self.dimension
+        if self.degenerate:
+            return np.zeros((dim, dim), dtype=complex)
+        pq = kernel.kron_all([s.quotient_projector() for s in self.slots], cap=MATRIX_CAP)
+        return np.eye(dim, dtype=complex) - pq
 
 
 def slot_apply(op: np.ndarray, x: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -431,86 +437,29 @@ def submodule_projection(
     scenario: PolydiscScenario,
     *,
     gram_tol: float = GRAM_TOL,
-    cap: int = MATRIX_CAP,
 ) -> SubmoduleHandle:
-    """Ambient projection onto the sum of shifted-multiple ranges.
+    """Realize every slot of the scenario into one submodule handle.
 
-    Computed as ``I - kron(slot quotient projectors)``, the product form of
-    the commuting-projection sum (the slotwise factorization is exact for
-    tensor slots).  Degenerate scenarios yield the zero projection.
+    The ambient projection ``I - kron(slot quotient projectors)``, the
+    product form of the commuting-projection sum (the slotwise factorization
+    is exact for tensor slots), is built on the first read of
+    ``handle.projection``.  Degenerate scenarios yield the zero projection.
     """
-    if scenario.dimension > cap:
-        raise SizingError(
-            f"ambient tensor dimension {scenario.dimension} exceeds the cap {cap}"
-        )
-    slots = slot_spaces(scenario, gram_tol=gram_tol)
-    dim = scenario.dimension
-    if scenario.degenerate:
-        projection = np.zeros((dim, dim), dtype=complex)
-    else:
-        pq = kernel.kron_all([s.quotient_projector() for s in slots], cap=cap)
-        projection = np.eye(dim, dtype=complex) - pq
-    return SubmoduleHandle(
-        scenario=scenario,
-        projection=projection,
-        inner_slots=scenario.inner_slots,
-        slots=slots,
-        degenerate=scenario.degenerate,
-        gram_tol=gram_tol,
-    )
+    return SubmoduleHandle(scenario=scenario, slots=slot_spaces(scenario, gram_tol=gram_tol))
 
 
 def quotient_assembly(
     scenario: PolydiscScenario,
     *,
     gram_tol: float = GRAM_TOL,
-) -> QuotientHandle:
-    """Quotient factor bases and per-variable compressed shifts."""
-    slots = slot_spaces(scenario, gram_tol=gram_tol)
-    bases = [s.quotient_basis for s in slots]
-    factors: list[list[np.ndarray]] = []
-    for i, s in enumerate(slots):
-        row: list[np.ndarray] = []
-        for k, t in enumerate(slots):
-            if k == i:
-                if t.model is not None:
-                    row.append(t.model.compressed_shift)
-                elif t.quotient_dimension == t.dimension:
-                    row.append(t.shift)
-                else:
-                    row.append(np.zeros((0, 0), dtype=complex))
-            else:
-                row.append(np.eye(t.quotient_dimension, dtype=complex))
-        factors.append(row)
-    return QuotientHandle(
-        scenario=scenario,
-        slots=slots,
-        factor_bases=bases,
-        compressed_shift_factors=factors,
-    )
+) -> SubmoduleHandle:
+    """The same handle as ``submodule_projection``, named for quotient-side callers."""
+    return submodule_projection(scenario, gram_tol=gram_tol)
 
 
-def quotient_basis(handle: SubmoduleHandle | QuotientHandle, *, cap: int = MATRIX_CAP) -> np.ndarray:
+def quotient_basis(handle: SubmoduleHandle, *, cap: int = MATRIX_CAP) -> np.ndarray:
     """Ambient orthonormal basis of the quotient (columns), slot 0 slowest."""
-    slots = handle.slots
-    return kernel.kron_all([s.quotient_basis for s in slots], cap=cap)
-
-
-def doubly_commuting_check(q: QuotientHandle) -> float:
-    """max over i<j of the cross-commutator norm of the compressed shifts."""
-    worst = 0.0
-    n = q.scenario.n
-    if q.dimension == 0:
-        return worst
-    for i in range(n):
-        ci = q.compressed_shift(i)
-        for j in range(i + 1, n):
-            cj = q.compressed_shift(j)
-            worst = max(
-                worst,
-                kernel.operator_norm(ci @ cj.conj().T - cj.conj().T @ ci),
-            )
-    return worst
+    return kernel.kron_all([s.quotient_basis for s in handle.slots], cap=cap)
 
 
 def interior_mask(scenario: PolydiscScenario, slot: int, *, width: int = 1) -> np.ndarray:
@@ -526,18 +475,20 @@ def interior_mask(scenario: PolydiscScenario, slot: int, *, width: int = 1) -> n
 def shift_invariance_residual(handle: SubmoduleHandle, slot: int) -> float:
     """Norm of (I - P_S) M_slot P_S restricted to interior multi-indices.
 
-    Uses the low-rank identity (I - P_S) = B_Q B_Q* so the spectral norm is
-    an SVD of a (quotient dim x ambient dim) matrix.
+    With D the interior mask (slot index below the top degree) and q, Q, S,
+    d the slot's quotient basis, quotient projector, shift and mask,
+
+        (I - P_S) M_slot P_S D = (x)_{l != slot} Q_l  tensor  Q S (I - Q) d,
+
+    since M_slot and D act on the slot alone and P_S = I - (x)_l Q_l.  Every
+    other factor has norm one, so the residual is the slot-sized
+    ``||q* S (I - Q) d||``, and 0 when the quotient is {0}.
     """
-    scenario = handle.scenario
-    bq = quotient_basis(handle)
-    if bq.shape[1] == 0:
+    if handle.quotient_dimension == 0:
         return 0.0
-    dims = tuple(s.dimension for s in handle.slots)
-    x = handle.projection.copy()
-    x[:, ~interior_mask(scenario, slot)] = 0.0
-    shifted = slot_apply(handle.slots[slot].shift, x, slot, dims)
-    small = bq.conj().T @ shifted
+    s = handle.slots[slot]
+    small = s.quotient_basis.conj().T @ s.shift @ (np.eye(s.dimension) - s.quotient_projector())
+    small[:, -1] = 0.0
     return kernel.operator_norm(small)
 
 

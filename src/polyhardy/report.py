@@ -37,10 +37,8 @@ from .disc import model_space
 from .errors import AnalysisFailure, ScenarioError
 from .lattice import (
     PolydiscScenario,
-    doubly_commuting_check,
     inner_range_projections,
     projection_formula_residuals,
-    quotient_assembly,
     shift_invariance_residual,
     submodule_projection,
     submodule_span_gap,
@@ -138,7 +136,7 @@ def _run_project(scenario: PolydiscScenario, options: RunOptions):
         "ambient_dimension": handle.dimension,
         "quotient_dimension": handle.quotient_dimension,
         "degenerate": handle.degenerate,
-        "inner_slots": list(handle.inner_slots),
+        "inner_slots": list(scenario.inner_slots),
         "degrees": list(scenario.degrees),
     }
     failures: list[str] = []
@@ -210,13 +208,10 @@ def _run_commutator(scenario: PolydiscScenario, options: RunOptions, pair):
 
 
 def _run_essnorm(scenario: PolydiscScenario, options: RunOptions):
-    q = quotient_assembly(scenario)
-    report = comm_mod.essential_normality_check(q)
-    defect = float(doubly_commuting_check(q))
+    report = comm_mod.essential_normality_check(submodule_projection(scenario))
     results = {
         "verdict": report.verdict,
         "quotient_dimension": report.quotient_dimension,
-        "max_cross_commutator_defect": defect,
         "slots": [
             {
                 "slot": e.slot,
@@ -229,13 +224,7 @@ def _run_essnorm(scenario: PolydiscScenario, options: RunOptions):
             for e in report.slots
         ],
     }
-    tolerances = {"doubly_commuting": COMMUTING_TOL}
-    failures = []
-    if defect > COMMUTING_TOL:
-        failures.append(
-            f"compressed shifts fail to doubly commute: defect {defect:.3e} > {COMMUTING_TOL:g}"
-        )
-    return results, tolerances, failures
+    return results, {}, []
 
 
 def _run_blh(scenario: PolydiscScenario, options: RunOptions):

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .defaults import AMBIENT_DIM_BUDGET, MATRIX_CAP, ZERO_MODULUS_BOUND
+from .defaults import AMBIENT_DIM_BUDGET, MATRIX_CAP, UNIMODULAR_TOL, ZERO_MODULUS_BOUND
 from .disc import BlaschkeProduct
 from .errors import ContractError, ScenarioError, SizingError
 from .lattice import FullHardy, Inner, PolydiscScenario, default_degrees, make_scenario
@@ -92,7 +92,7 @@ def _parse_slot(raw, path: str) -> SlotSpec:
     constant = (
         _complex_from(raw["constant"], f"{path}.constant") if "constant" in raw else 1.0 + 0.0j
     )
-    if abs(abs(constant) - 1.0) > 1e-12:
+    if abs(abs(constant) - 1.0) > UNIMODULAR_TOL:
         raise _fail(f"{path}.constant", f"expected a unimodular constant, |c| = {abs(constant)!r}")
     return SlotSpec(kind="blaschke", zeros=tuple(zeros), constant=constant, degree=degree)
 

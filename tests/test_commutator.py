@@ -13,7 +13,6 @@ from polyhardy import (
     commutator_report,
     cross_commutator_spectrum,
     cross_commutator_structural,
-    doubly_commuting_check,
     essential_dc_diagnostic,
     essential_normality_check,
     make_scenario,
@@ -161,13 +160,6 @@ def test_report_mixed_pair_commutator_vanishes():
     h = submodule_projection(scn)
     ambient = cross_commutator_bruteforce_ambient(h, 0, 1)
     assert np.linalg.norm(ambient) <= 1e-12
-
-
-def test_doubly_commuting_check_empty_quotient():
-    scn = make_scenario([Inner(BlaschkeProduct([])), z_factor()], (8, 8))
-    q = quotient_assembly(scn)
-    assert q.dimension == 0
-    assert doubly_commuting_check(q) == 0.0
 
 
 def test_three_variable_rank_equals_middle_dimension():

@@ -1,17 +1,19 @@
 """Factorwise routes against dense oracles.
 
 The production routes in ``blh``, ``lattice`` and ``commutator`` work on
-per-slot factors: range gap, span gap, wandering basis and the spectrum of
-the compressed cross commutator.  The helpers below compute each quantity
-from ambient-size stacks, Kronecker words and decompositions and serve as
-their oracles.  The ambient brute-force commutator, itself the oracle of
-``commutator_report``, is checked against its three-projection form.
+per-slot factors: range gap, span gap, shift invariance, wandering basis
+and the spectrum of the compressed cross commutator.  The helpers below
+compute each quantity from ambient-size stacks, Kronecker words and
+decompositions and serve as their oracles.  The ambient brute-force
+commutator, itself the oracle of ``commutator_report``, is checked against
+its three-projection form, and is the only analysis that assembles the
+ambient P_S.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from polyhardy import (
     BlaschkeProduct,
     FullHardy,
     Inner,
+    SubmoduleHandle,
     build_blh_symbol,
     commutator_report,
     cross_commutator_spectrum,
@@ -33,7 +36,7 @@ from polyhardy import (
 )
 from polyhardy.blh import shifted_span_gaps, symbol_columns
 from polyhardy.commutator import cross_commutator_bruteforce_ambient
-from polyhardy.defaults import SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
+from polyhardy.defaults import AGREEMENT_DIM_BUDGET, SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
 from polyhardy.disc import multiplication_operator, rank_one_compression
 from polyhardy.kernel import (
     kron_all,
@@ -44,7 +47,9 @@ from polyhardy.kernel import (
 )
 from polyhardy.lattice import (
     apply_quotient_projector,
+    interior_mask,
     quotient_basis,
+    shift_invariance_residual,
     slot_apply,
     submodule_span_gap,
 )
@@ -84,6 +89,17 @@ def dense_span_gap(handle, window=TAIL_WINDOW):
     if bq.shape[1] == 0:
         return 0.0
     return operator_norm(bq.conj().T @ basis)
+
+
+def dense_shift_invariance_residual(handle, slot):
+    """||(I - P_S) M_slot P_S D|| as ||B_Q* M_slot P_S D||, D the interior mask."""
+    bq = quotient_basis(handle)
+    if bq.shape[1] == 0:
+        return 0.0
+    dims = tuple(s.dimension for s in handle.slots)
+    x = handle.projection.copy()
+    x[:, ~interior_mask(handle.scenario, slot)] = 0.0
+    return operator_norm(bq.conj().T @ slot_apply(handle.slots[slot].shift, x, slot, dims))
 
 
 def dense_range_gap(sym, handle, window=None):
@@ -225,6 +241,26 @@ def test_span_gap_matches_dense_oracle(data):
     assert math.copysign(1.0, gap) == 1.0
 
 
+@PROPERTY_SETTINGS
+@given(scenario=scenarios())
+def test_shift_invariance_matches_dense_oracle(scenario):
+    handle = submodule_projection(scenario)
+    for slot in range(scenario.n):
+        residual = shift_invariance_residual(handle, slot)
+        assert abs(residual - dense_shift_invariance_residual(handle, slot)) <= OPERATOR_ORACLE_TOL
+
+
+def test_shift_invariance_nonzero_matches_dense_oracle():
+    # a zero of modulus 0.7 at degree 14 leaves a visible tail in slot 1
+    scenario = make_scenario(
+        [Inner(BlaschkeProduct([0.1j, -0.128])), Inner(BlaschkeProduct([0.7]))], (18, 14)
+    )
+    handle = submodule_projection(scenario, gram_tol=1e-4)
+    residual = shift_invariance_residual(handle, 1)
+    assert 1e-5 <= residual <= 2e-5
+    assert abs(residual - dense_shift_invariance_residual(handle, 1)) <= OPERATOR_ORACLE_TOL
+
+
 @st.composite
 def spectrum_cases(draw):
     """A scenario and an Inner pair (i, j), with the compressed word at most ~400 rows.
@@ -332,18 +368,70 @@ def test_no_ambient_size_decomposition(monkeypatch):
     verify_range(sym, handle)
     wandering_subspace(handle, 0)
     submodule_span_gap(handle)
+    for slot in range(scenario.n):
+        shift_invariance_residual(handle, slot)
     assert shapes
     too_large = [(name, shape) for name, shape in shapes if min(shape[-2:]) > bound]
     assert not too_large
 
 
-def _project_span_gap(slots):
-    spec = parse_scenario_dict(
-        {"schema_version": 1, "n": len(slots), "slots": slots, "analyses": ["project"]}
+def _projection_builds(monkeypatch):
+    """Ambient dimension of every P_S assembled from now on."""
+    builds = []
+    prop = getattr(SubmoduleHandle, "projection", None)
+    assert isinstance(prop, cached_property), "P_S is not assembled on first read"
+    build = prop.func
+
+    def counted(handle):
+        builds.append(handle.dimension)
+        return build(handle)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return builds
+
+
+def _execute(slots, analyses, second=None):
+    doc = {"schema_version": 1, "n": len(slots), "slots": slots, "analyses": analyses}
+    if second is not None:
+        doc["second_scenario"] = {"n": len(second), "slots": second}
+    bundle = execute(parse_scenario_dict(doc))
+    assert not bundle.failed_blocks
+    return bundle
+
+
+def test_all_analyses_build_one_projection(monkeypatch):
+    # n=2 at (31, 31): only the commutator oracle's agreement handle reads P_S
+    first = [
+        {"kind": "blaschke", "zeros": [[0.4, 0.0], [0.0, -0.3]], "degree": 31},
+        {"kind": "blaschke", "zeros": [[0.5, 0.0]], "degree": 31},
+    ]
+    second = [first[0], dict(first[1], zeros=[[0.0, 0.5]])]
+    builds = _projection_builds(monkeypatch)
+    _execute(
+        first,
+        ["project", "commutator", "essnorm", "blh", "rigidity", "c0", "decay"],
+        second,
     )
-    block = execute(spec).blocks[0]
-    assert block.status == "ok"
-    return block.results["span_gap"]
+    assert builds == [1024]
+
+
+def test_no_projection_above_agreement_budget(monkeypatch):
+    # the full slot resolves to degree 9, so the ambient D is 21 * 10 * 17 = 3570;
+    # each commutator pair's agreement handle shrinks to D <= 1024
+    slots = [
+        {"kind": "blaschke", "zeros": [[0.3, 0.0], [0.0, -0.2]], "degree": 20},
+        {"kind": "full"},
+        {"kind": "blaschke", "zeros": [[0.0, 0.4]], "degree": 16},
+    ]
+    builds = _projection_builds(monkeypatch)
+    bundle = _execute(slots, ["commutator", "essnorm", "c0", "decay"])
+    assert bundle.blocks[0].results["pairs"]
+    assert builds
+    assert max(builds) <= AGREEMENT_DIM_BUDGET
+
+
+def _project_span_gap(slots):
+    return _execute(slots, ["project"]).blocks[0].results["span_gap"]
 
 
 def test_span_gap_reported_above_dimension_1024():

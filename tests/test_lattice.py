@@ -14,7 +14,6 @@ from polyhardy import (
     Inner,
     commuting_projection_sum,
     coordinate_shift,
-    doubly_commuting_check,
     make_scenario,
     quotient_assembly,
     submodule_projection,
@@ -202,18 +201,18 @@ def test_submodule_span_gap_general_zeros():
 def test_quotient_assembly_dimensions():
     scn = make_scenario([z_factor(), z_factor()], (6, 6))
     q = quotient_assembly(scn)
-    assert q.dimension == 1
-    assert np.linalg.norm(q.compressed_shift(0)) == 0.0
+    assert q.quotient_dimension == 1
+    assert np.linalg.norm(q.slots[0].compressed_shift) == 0.0
 
     scn2 = make_scenario(
         [Inner(BlaschkeProduct([0.5])), Inner(BlaschkeProduct([0.0, 0.0]))], (30, 8)
     )
     q2 = quotient_assembly(scn2)
-    assert q2.dimension == 2
+    assert q2.quotient_dimension == 2
 
     scn3 = make_scenario([z_factor(), FullHardy()], (6, 9))
     q3 = quotient_assembly(scn3)
-    assert q3.factor_dimensions == (1, 10)
+    assert tuple(s.quotient_dimension for s in q3.slots) == (1, 10)
 
 
 def test_complementarity():
@@ -225,23 +224,16 @@ def test_complementarity():
     assert np.linalg.norm(pq - (np.eye(h.dimension) - h.projection), 2) <= 1e-9
 
 
-def test_doubly_commuting_check():
-    rng = np.random.default_rng(25)
-    scn = random_inner_scenario(rng, 3, (8, 8, 8), max_degree=2, max_modulus=0.4)
-    q = quotient_assembly(scn)
-    assert doubly_commuting_check(q) <= 1e-10
-    scn1 = make_scenario([z_factor(), z_factor()], (5, 5))
-    assert doubly_commuting_check(quotient_assembly(scn1)) == 0.0
-
-
 def test_ambient_compression_matches_tensor_shift():
     rng = np.random.default_rng(26)
     scn = random_inner_scenario(rng, 2, (16, 16), max_degree=2, max_modulus=0.5)
     q = quotient_assembly(scn)
     bq = quotient_basis(q)
     for i in range(2):
+        word = [np.eye(s.quotient_dimension, dtype=complex) for s in q.slots]
+        word[i] = q.slots[i].compressed_shift
         ambient = bq.conj().T @ coordinate_shift(scn, i) @ bq
-        assert np.linalg.norm(ambient - q.compressed_shift(i), 2) <= 1e-8
+        assert np.linalg.norm(ambient - reduce(np.kron, word), 2) <= 1e-8
 
 
 def test_interior_shift_invariance():
