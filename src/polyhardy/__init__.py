@@ -25,6 +25,7 @@ from .commutator import (
     EssentialNormalityReport,
     c0_annihilation,
     commutator_report,
+    commutator_reports,
     cross_commutator_spectrum,
     cross_commutator_structural,
     essential_dc_diagnostic,

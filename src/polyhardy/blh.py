@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .defaults import GRAM_TOL, MATRIX_CAP, TAIL_WINDOW
+from .defaults import EXACT_NORM_DIM, GRAM_TOL, MATRIX_CAP, SPAN_RANK_REL_TOL, TAIL_WINDOW
 from .disc import BlaschkeProduct, blaschke_eval, multiplication_operator, taylor_coefficients
 from .errors import ContractError, SizingError
 from .lattice import (
@@ -108,11 +108,11 @@ def pencil_residuals(sym: BlhSymbol) -> dict[str, float]:
     }
 
 
-def verify_inner(sym: BlhSymbol, grid_size: int = 256, *, exact_norm_dim: int = 256) -> float:
+def verify_inner(sym: BlhSymbol, grid_size: int = 256) -> float:
     """max over a boundary grid of || Theta(e^{it})* Theta(e^{it}) - I ||.
 
     Uses precomputed Gram blocks so each grid point costs O(dim^2); above
-    ``exact_norm_dim`` the per-point norm is Frobenius (an upper bound on
+    ``EXACT_NORM_DIM`` the per-point norm is Frobenius (an upper bound on
     the spectral norm).
     """
     if grid_size < 64:
@@ -129,7 +129,7 @@ def verify_inner(sym: BlhSymbol, grid_size: int = 256, *, exact_norm_dim: int = 
         z = cmath.exp(2j * cmath.pi * k / grid_size)
         t = blaschke_eval(sym.theta0, z)
         g = gaa + (abs(t) ** 2) * gbb + t * gab + t.conjugate() * gba - eye
-        if dim <= exact_norm_dim:
+        if dim <= EXACT_NORM_DIM:
             dev = kernel.operator_norm(g)
         else:
             dev = float(np.linalg.norm(g))
@@ -240,7 +240,7 @@ def shifted_span_gaps(
         current = slot_apply(handle.slots[slot].shift, current, slot, dims)
         blocks.append(current)
     stacked = np.hstack(blocks)
-    span = kernel.orthonormal_basis_of_span(stacked, rel_tol=1e-10)
+    span = kernel.orthonormal_basis_of_span(stacked, rel_tol=SPAN_RANK_REL_TOL)
 
     bq = quotient_basis(handle)
     if bq.shape[1] == 0:
@@ -253,7 +253,9 @@ def shifted_span_gaps(
     # slack: coordinates whose slot index lies inside the top window
     top = ~interior_mask(scenario, slot, width=window)
     slack = np.eye(handle.dimension, dtype=complex)[:, top]
-    enlarged = kernel.orthonormal_basis_of_span(np.hstack([stacked, slack]), rel_tol=1e-10)
+    enlarged = kernel.orthonormal_basis_of_span(
+        np.hstack([stacked, slack]), rel_tol=SPAN_RANK_REL_TOL
+    )
 
     bs = submodule_basis(handle)
     if bs.shape[1] == 0:
@@ -295,7 +297,7 @@ def verify_range(
     u_b, u_a = _projector_split(sym.theta_part)
     shifted_theta = multiplication_operator(sym.theta0, n0)[:, : l_max + 1]
 
-    u_theta = kernel.orthonormal_basis_of_span(shifted_theta, rel_tol=1e-10)
+    u_theta = kernel.orthonormal_basis_of_span(shifted_theta, rel_tol=SPAN_RANK_REL_TOL)
     containment = kernel.operator_norm(
         np.hstack(
             [
@@ -310,7 +312,7 @@ def verify_range(
     # the gap is || P_S (U_perp x U_B) ||, split over ran(I - Q_0) and ran Q_0
     top = np.eye(n0 + 1, dtype=complex)[:, l_max + 1 :]
     u, s, _ = np.linalg.svd(np.hstack([shifted_theta, top]))
-    u_perp = u[:, s <= 1e-10 * s[0]]
+    u_perp = u[:, s <= SPAN_RANK_REL_TOL * s[0]]
     generation = kernel.operator_norm(
         np.vstack(
             [

@@ -3,13 +3,21 @@
 For a pair of Inner slots ``i < j`` the restricted cross commutator
 factorizes into a Kronecker product: a rank-one backward-shift compression
 on slot ``i``, its adjoint shape on slot ``j``, and quotient projectors on
-the remaining slots.  The brute-force route computes the same operator from
-ambient truncated shifts, the submodule projection and the slotwise
-quotient projectors alone; at matched truncation the two agree to float
-rounding, which is the oracle check every report asserts.  When a slot of
-the pair carries the zero symbol its factor I - Q_k vanishes, so the
-structural route of such a mixed pair is the zero operator with an empty
-spectrum, and the report judges the oracle's Frobenius norm against it.
+the remaining slots.  The brute-force route computes the same operator
+P_S M_j (I - P_S) M_i* P_S from ambient truncated shifts and the quotient
+alone; at matched truncation the two agree to float rounding, which is the
+oracle check every report asserts.  When a slot of the pair carries the
+zero symbol its factor I - Q_k vanishes, so the structural route of such a
+mixed pair is the zero operator with an empty spectrum, and the report
+judges the oracle's Frobenius norm against it.
+
+The quotient is the tensor product of the slot model spaces, so
+I - P_S = V V* with V the ambient quotient basis of r = prod dim K_theta_k
+columns.  When r is small against the slot dimensions the oracle is the
+rank-r product (P_S M_j V)(P_S M_i V)*, and dense P_S is never formed;
+otherwise it applies the shifts and two slotwise quotient-projector passes
+to the dense P_S.  ``commutator_reports`` realizes the small agreement
+handle once and shares it among all pairs of one analysis.
 
 Norm, rank and Hilbert-Schmidt data come from the singular values of a
 compressed Kronecker word whose two Inner pair factors are computed at a
@@ -22,6 +30,7 @@ values.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +59,7 @@ from .lattice import (
     SubmoduleHandle,
     apply_quotient_projector,
     make_scenario,
+    quotient_basis,
     shrink_degrees,
     slot_apply,
     submodule_projection,
@@ -61,11 +71,15 @@ __all__ = [
     "EssentialNormalityReport",
     "c0_annihilation",
     "commutator_report",
+    "commutator_reports",
     "cross_commutator_spectrum",
     "cross_commutator_structural",
     "essential_dc_diagnostic",
     "essential_normality_check",
 ]
+
+# Leading singular values echoed in every commutator report.
+LEADING_SINGULAR_VALUES = 8
 
 
 @dataclass(frozen=True)
@@ -110,15 +124,34 @@ def cross_commutator_bruteforce_ambient(handle: SubmoduleHandle, i: int, j: int)
     """Ambient matrix of P_S (M_i* M_j) P_S - P_S M_j P_S M_i* P_S.
 
     Evaluated as P_S M_j (I - P_S) M_i* P_S, the same operator since M_i* and
-    M_j act on different slots and commute; I - P_S is the tensor quotient
-    projector.  Built entirely from the submodule projection, the truncated
-    coordinate shifts and the slotwise quotient projectors.
+    M_j act on different slots and commute.  I - P_S is the tensor quotient
+    projector V V*, V the ambient quotient basis with r orthonormal columns,
+    so the operator is A B* with A = P_S M_j V = M_j V - V (V* M_j V) and B
+    likewise for M_i, about D r (D + 2r) multiply-adds.  The slotwise route
+    applies M_i*, M_j and two passes of the quotient projector to the dense
+    P_S, about D^2 (d_i + d_j + 2 sum d_k) over the slots k whose quotient is
+    not the whole slot; it runs instead when r exceeds that slot count.  An
+    empty quotient (r = 0) gives the exact zero matrix.
     """
     _check_pair(handle.scenario, i, j)
     dims = tuple(s.dimension for s in handle.slots)
-    x = slot_apply(handle.slots[i].shift.conj().T, handle.projection, i, dims)
-    z = slot_apply(handle.slots[j].shift, apply_quotient_projector(handle.slots, x), j, dims)
-    return z - apply_quotient_projector(handle.slots, z)
+    rank = handle.quotient_dimension
+    if rank == 0:
+        return np.zeros((handle.dimension, handle.dimension), dtype=complex)
+    slotwise = dims[i] + dims[j] + 2 * sum(
+        s.dimension for s in handle.slots if s.quotient_dimension < s.dimension
+    )
+    if rank > slotwise:
+        x = slot_apply(handle.slots[i].shift.conj().T, handle.projection, i, dims)
+        z = slot_apply(handle.slots[j].shift, apply_quotient_projector(handle.slots, x), j, dims)
+        return z - apply_quotient_projector(handle.slots, z)
+    v = quotient_basis(handle)
+
+    def off_quotient(slot: int) -> np.ndarray:
+        mv = slot_apply(handle.slots[slot].shift, v, slot, dims)
+        return mv - v @ (v.conj().T @ mv)
+
+    return off_quotient(j) @ off_quotient(i).conj().T
 
 
 def cross_commutator_structural(handle: SubmoduleHandle, i: int, j: int) -> np.ndarray:
@@ -195,12 +228,32 @@ def commutator_report(
     j: int,
     *,
     rank_tol: float = RANK_REL_TOL,
-    agreement_budget: int = AGREEMENT_DIM_BUDGET,
     agreement_gram_tol: float = AGREEMENT_GRAM_TOL,
     raise_on_failure: bool = True,
-    leading: int = 8,
 ) -> CommutatorReport:
-    """Run both cross-commutator routes and assemble the full report.
+    """The report of one pair; see ``commutator_reports``."""
+    return commutator_reports(
+        scenario,
+        [(i, j)],
+        rank_tol=rank_tol,
+        agreement_gram_tol=agreement_gram_tol,
+        raise_on_failure=raise_on_failure,
+    )[0]
+
+
+def commutator_reports(
+    scenario: PolydiscScenario,
+    pairs: Sequence[tuple[int, int]],
+    *,
+    rank_tol: float = RANK_REL_TOL,
+    agreement_gram_tol: float = AGREEMENT_GRAM_TOL,
+    raise_on_failure: bool = True,
+) -> list[CommutatorReport]:
+    """Run both cross-commutator routes on each pair and assemble the reports.
+
+    The agreement degrees (the scenario's, shrunk to ``AGREEMENT_DIM_BUDGET``)
+    and their handle are realized once and shared by every pair, so a dense
+    P_S read by the oracle lives only for this call.
 
     Asserts: structural and brute-force routes agree within 1e-7 in Frobenius
     norm at a common truncation (a mixed pair, one with a FullHardy slot, has
@@ -208,17 +261,36 @@ def commutator_report(
     oracle's own Frobenius norm is judged); the operator norm matches the
     closed form within 1e-6 when both slots are Inner; for n=2 the numerical
     rank is at most one; the operator norm never exceeds the Hilbert-Schmidt
-    norm.  Failures raise AnalysisFailure carrying the finished report unless
-    ``raise_on_failure`` is false.
+    norm.  A failing pair raises AnalysisFailure carrying its finished report
+    unless ``raise_on_failure`` is false.
     """
-    _check_pair(scenario, i, j)
+    for i, j in pairs:
+        _check_pair(scenario, i, j)
+    agree_degrees = shrink_degrees(scenario.factors, scenario.degrees, AGREEMENT_DIM_BUDGET)
+    handle = submodule_projection(
+        make_scenario(scenario.factors, agree_degrees), gram_tol=agreement_gram_tol
+    )
+    reports = []
+    for i, j in pairs:
+        report = _pair_report(scenario, handle, i, j, rank_tol)
+        if report.failures and raise_on_failure:
+            raise AnalysisFailure(
+                f"commutator report for pair ({i}, {j}) failed: " + "; ".join(report.failures),
+                details={"report": report},
+            )
+        reports.append(report)
+    return reports
+
+
+def _pair_report(
+    scenario: PolydiscScenario, handle: SubmoduleHandle, i: int, j: int, rank_tol: float
+) -> CommutatorReport:
+    """One pair's report, judged against the oracle on the agreement handle."""
     fi, fj = scenario.factors[i], scenario.factors[j]
     both_inner = isinstance(fi, Inner) and isinstance(fj, Inner)
+    agree_degrees = handle.scenario.degrees
     failures: list[str] = []
 
-    agree_degrees = shrink_degrees(scenario.factors, scenario.degrees, agreement_budget)
-    agree_scenario = make_scenario(scenario.factors, agree_degrees)
-    handle = submodule_projection(agree_scenario, gram_tol=agreement_gram_tol)
     # oracle minus structural route, formed in place
     residual = cross_commutator_bruteforce_ambient(handle, i, j)
 
@@ -263,12 +335,12 @@ def commutator_report(
     if op_norm > hs + HS_NORM_SLACK:
         failures.append(f"operator norm {op_norm!r} exceeds HS norm {hs!r}")
 
-    report = CommutatorReport(
+    return CommutatorReport(
         pair=(i, j),
         operator_norm=op_norm,
         hs_norm=hs,
         numerical_rank=rank,
-        leading_singular_values=tuple(float(s) for s in svals[:leading]),
+        leading_singular_values=tuple(float(s) for s in svals[:LEADING_SINGULAR_VALUES]),
         structural_vs_oracle_error=agreement_error,
         predicted_norm=predicted,
         closed_form_hs=closed_form_hs,
@@ -283,12 +355,6 @@ def commutator_report(
         },
         failures=tuple(failures),
     )
-    if failures and raise_on_failure:
-        raise AnalysisFailure(
-            f"commutator report for pair ({i}, {j}) failed: " + "; ".join(failures),
-            details={"report": report},
-        )
-    return report
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ AGREEMENT_DIM_BUDGET = 1024
 # Relative threshold for numerical rank (fraction of sigma_max).
 RANK_REL_TOL = 1e-8
 
+# Relative singular-value cut (fraction of sigma_max) below which a column
+# no longer counts towards a span: orthonormal bases of spans and the
+# dependence test of QR orthonormalization.
+SPAN_RANK_REL_TOL = 1e-10
+
 # Bound on the Gram deviation of truncated model-space columns before
 # re-orthonormalization; beyond this the truncation degree is too small.
 GRAM_TOL = 1e-6
@@ -59,6 +64,10 @@ AGREEMENT_GRAM_TOL = 1e-2
 NONCOMPACT_PLATEAU_FRACTION = 0.5
 
 DEFAULT_BOUNDARY_GRID = 256
+# Coefficient dimension up to which the boundary inner deviation is the
+# spectral norm at each grid point; above it the Frobenius norm, an upper
+# bound, keeps each point O(dim^2).
+EXACT_NORM_DIM = 256
 DEFAULT_DECAY_SCHEDULE = (40, 60, 80)
 
 # Default truncation for a FullHardy tensor slot.

@@ -20,6 +20,7 @@ from .defaults import (
     ORTHONORMALITY_TOL,
     PROJECTOR_TOL,
     RANK_REL_TOL,
+    SPAN_RANK_REL_TOL,
 )
 from .errors import ContractError, NumericError, RankDeficiencyError, SizingError
 
@@ -112,7 +113,7 @@ def kron_all(mats: Iterable[np.ndarray], *, cap: int = MATRIX_CAP) -> np.ndarray
     return reduce(lambda x, y: tensor_product(x, y, cap=cap), mats)
 
 
-def orthonormalize(columns: np.ndarray, *, rel_tol: float = 1e-10) -> np.ndarray:
+def orthonormalize(columns: np.ndarray, *, rel_tol: float = SPAN_RANK_REL_TOL) -> np.ndarray:
     """QR-orthonormalize nearly independent columns, preserving their span.
 
     Already orthonormal input comes back unchanged up to a unimodular phase
@@ -136,7 +137,9 @@ def orthonormalize(columns: np.ndarray, *, rel_tol: float = 1e-10) -> np.ndarray
     return q
 
 
-def orthonormal_basis_of_span(columns: np.ndarray, *, rel_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_basis_of_span(
+    columns: np.ndarray, *, rel_tol: float = SPAN_RANK_REL_TOL
+) -> np.ndarray:
     """Orthonormal basis of the column span, rank-filtered (dependence allowed)."""
     m = as_complex_matrix(columns)
     if m.shape[1] == 0 or m.size == 0:

@@ -28,8 +28,9 @@ One ``SubmoduleHandle`` per realized scenario carries the slot factors:
 quotient bases, truncated shifts and compressed shifts.  The quotient is
 the tensor product of the slot quotients, so every analysis works on those
 factors; the dense ambient ``P_S`` is assembled only when
-``SubmoduleHandle.projection`` is first read, which only the brute-force
-commutator oracle does.
+``SubmoduleHandle.projection`` is first read.  Only the slotwise side of
+the brute-force commutator oracle reads it; its rank-r side writes
+``I - P_S`` as ``V V*`` with ``V = quotient_basis(handle)``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .defaults import (
     FULL_SLOT_DEGREE,
     GRAM_TOL,
     MATRIX_CAP,
+    SPAN_RANK_REL_TOL,
     TAIL_WINDOW,
     disc_truncation,
     minimum_truncation,
@@ -518,7 +520,7 @@ def submodule_span_gap(
         # keep at least the theta column itself
         j_max = max(0, scenario.degrees[i] - product.degree - window)
         mult_cols = multiplication_operator(product, scenario.degrees[i])[:, : j_max + 1]
-        u = kernel.orthonormal_basis_of_span(mult_cols, rel_tol=1e-10)
+        u = kernel.orthonormal_basis_of_span(mult_cols, rel_tol=SPAN_RANK_REL_TOL)
         s = kernel.operator_norm(handle.slots[i].quotient_basis.conj().T @ u)
         log_kept += math.log1p(-s * s)
     # expm1 keeps 1 - prod(...) exact near 0; abs() turns sqrt(-0.0) into 0.0

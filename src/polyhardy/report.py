@@ -179,10 +179,10 @@ def _run_commutator(scenario: PolydiscScenario, options: RunOptions, pair):
     ]
     results: dict = {"pairs": []}
     failures: list[str] = []
-    for i, j in pairs:
-        report = comm_mod.commutator_report(
-            scenario, i, j, rank_tol=options.rank_tol, raise_on_failure=False
-        )
+    for report in comm_mod.commutator_reports(
+        scenario, pairs, rank_tol=options.rank_tol, raise_on_failure=False
+    ):
+        i, j = report.pair
         results["pairs"].append(
             {
                 "pair": [i, j],

@@ -6,8 +6,8 @@ and the spectrum of the compressed cross commutator.  The helpers below
 compute each quantity from ambient-size stacks, Kronecker words and
 decompositions and serve as their oracles.  The ambient brute-force
 commutator, itself the oracle of ``commutator_report``, is checked against
-its three-projection form, and is the only analysis that assembles the
-ambient P_S.
+its three-projection form on both of its routes; only its slotwise route
+assembles the ambient P_S.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from functools import cached_property, reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -314,6 +315,39 @@ def test_regrouped_oracle_matches_three_projections(data):
     assert np.linalg.norm(regrouped - three_projection_oracle(handle, i, j)) <= OPERATOR_ORACLE_TOL
 
 
+# (factors, degrees, pair, whether the dense P_S is read): [deg 1, full] has
+# r = 5 against d_i + d_j + 2 * 5 = 20, so the rank-r form runs; [full, deg 3,
+# full] has r = 48 against 4 + 5 + 2 * 5 = 19, so the slotwise route runs
+ORACLE_ROUTE_CASES = [
+    ([Inner(BlaschkeProduct([0.02j])), FullHardy()], (4, 4), (0, 1), False),
+    (
+        [FullHardy(), Inner(BlaschkeProduct([0.02, -0.01j, 0.015])), FullHardy()],
+        (3, 4, 3),
+        (0, 1),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, degrees, pair, dense", ORACLE_ROUTE_CASES, ids=["rank_r", "slotwise"]
+)
+def test_oracle_routes_match_three_projections(factors, degrees, pair, dense):
+    handle = submodule_projection(make_scenario(factors, degrees))
+    oracle = cross_commutator_bruteforce_ambient(handle, *pair)
+    assert ("projection" in vars(handle)) == dense
+    assert np.linalg.norm(oracle - three_projection_oracle(handle, *pair)) <= OPERATOR_ORACLE_TOL
+
+
+def test_oracle_is_exact_zero_on_degree_zero_pair_slot():
+    scenario = make_scenario([Inner(BlaschkeProduct([])), Inner(BlaschkeProduct([0.02]))], (4, 4))
+    handle = submodule_projection(scenario)
+    oracle = cross_commutator_bruteforce_ambient(handle, 0, 1)
+    assert oracle.shape == (handle.dimension, handle.dimension)
+    assert not np.any(oracle)
+    assert "projection" not in vars(handle)
+
+
 def _recorded_shapes(monkeypatch):
     """Shapes of every operand passed to numpy's SVD, eigh and QR from now on."""
     shapes = []
@@ -399,8 +433,9 @@ def _execute(slots, analyses, second=None):
     return bundle
 
 
-def test_all_analyses_build_one_projection(monkeypatch):
-    # n=2 at (31, 31): only the commutator oracle's agreement handle reads P_S
+def test_all_analyses_build_no_projection(monkeypatch):
+    # n=2 at (31, 31): the quotient has r = 2 columns, so the commutator
+    # oracle takes its rank-r form and nothing reads P_S
     first = [
         {"kind": "blaschke", "zeros": [[0.4, 0.0], [0.0, -0.3]], "degree": 31},
         {"kind": "blaschke", "zeros": [[0.5, 0.0]], "degree": 31},
@@ -412,12 +447,12 @@ def test_all_analyses_build_one_projection(monkeypatch):
         ["project", "commutator", "essnorm", "blh", "rigidity", "c0", "decay"],
         second,
     )
-    assert builds == [1024]
+    assert builds == []
 
 
 def test_no_projection_above_agreement_budget(monkeypatch):
     # the full slot resolves to degree 9, so the ambient D is 21 * 10 * 17 = 3570;
-    # each commutator pair's agreement handle shrinks to D <= 1024
+    # the shared agreement handle shrinks to D <= 1024
     slots = [
         {"kind": "blaschke", "zeros": [[0.3, 0.0], [0.0, -0.2]], "degree": 20},
         {"kind": "full"},
@@ -426,8 +461,23 @@ def test_no_projection_above_agreement_budget(monkeypatch):
     builds = _projection_builds(monkeypatch)
     bundle = _execute(slots, ["commutator", "essnorm", "c0", "decay"])
     assert bundle.blocks[0].results["pairs"]
-    assert builds
-    assert max(builds) <= AGREEMENT_DIM_BUDGET
+    assert len(builds) <= 1
+    assert all(dim <= AGREEMENT_DIM_BUDGET for dim in builds)
+
+
+def test_commutator_pairs_share_one_projection(monkeypatch):
+    # two full slots make r large, so all three pairs take the slotwise
+    # route; they read the P_S of one shared agreement handle
+    slots = [
+        {"kind": "blaschke", "zeros": [[0.3, 0.0], [0.0, -0.2]], "degree": 20},
+        {"kind": "full"},
+        {"kind": "full"},
+    ]
+    builds = _projection_builds(monkeypatch)
+    bundle = _execute(slots, ["commutator"])
+    assert len(bundle.blocks[0].results["pairs"]) == 3
+    assert len(builds) == 1
+    assert builds[0] <= AGREEMENT_DIM_BUDGET
 
 
 def _project_span_gap(slots):
