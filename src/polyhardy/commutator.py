@@ -13,11 +13,9 @@ judges the oracle's Frobenius norm against it.
 
 The quotient is the tensor product of the slot model spaces, so
 I - P_S = V V* with V the ambient quotient basis of r = prod dim K_theta_k
-columns.  When r is small against the slot dimensions the oracle is the
-rank-r product (P_S M_j V)(P_S M_i V)*, and dense P_S is never formed;
-otherwise it applies the shifts and two slotwise quotient-projector passes
-to the dense P_S.  ``commutator_reports`` realizes the small agreement
-handle once and shares it among all pairs of one analysis.
+columns, and the oracle is the rank-r product (P_S M_j V)(P_S M_i V)*;
+dense P_S is never formed.  ``commutator_reports`` realizes the small
+agreement handle once and shares it among all pairs of one analysis.
 
 Norm, rank and Hilbert-Schmidt data come from the singular values of a
 compressed Kronecker word whose two Inner pair factors are computed at a
@@ -57,7 +55,6 @@ from .lattice import (
     Inner,
     PolydiscScenario,
     SubmoduleHandle,
-    apply_quotient_projector,
     make_scenario,
     quotient_basis,
     shrink_degrees,
@@ -127,24 +124,14 @@ def cross_commutator_bruteforce_ambient(handle: SubmoduleHandle, i: int, j: int)
     M_j act on different slots and commute.  I - P_S is the tensor quotient
     projector V V*, V the ambient quotient basis with r orthonormal columns,
     so the operator is A B* with A = P_S M_j V = M_j V - V (V* M_j V) and B
-    likewise for M_i, about D r (D + 2r) multiply-adds.  The slotwise route
-    applies M_i*, M_j and two passes of the quotient projector to the dense
-    P_S, about D^2 (d_i + d_j + 2 sum d_k) over the slots k whose quotient is
-    not the whole slot; it runs instead when r exceeds that slot count.  An
-    empty quotient (r = 0) gives the exact zero matrix.
+    likewise for M_i, about D r (D + 2r) multiply-adds.  An empty quotient
+    (r = 0) and a degenerate scenario (P_S = 0, r = D) give the exact zero
+    matrix.
     """
     _check_pair(handle.scenario, i, j)
-    dims = tuple(s.dimension for s in handle.slots)
-    rank = handle.quotient_dimension
-    if rank == 0:
+    if handle.quotient_dimension == 0 or handle.degenerate:
         return np.zeros((handle.dimension, handle.dimension), dtype=complex)
-    slotwise = dims[i] + dims[j] + 2 * sum(
-        s.dimension for s in handle.slots if s.quotient_dimension < s.dimension
-    )
-    if rank > slotwise:
-        x = slot_apply(handle.slots[i].shift.conj().T, handle.projection, i, dims)
-        z = slot_apply(handle.slots[j].shift, apply_quotient_projector(handle.slots, x), j, dims)
-        return z - apply_quotient_projector(handle.slots, z)
+    dims = tuple(s.dimension for s in handle.slots)
     v = quotient_basis(handle)
 
     def off_quotient(slot: int) -> np.ndarray:
@@ -252,8 +239,7 @@ def commutator_reports(
     """Run both cross-commutator routes on each pair and assemble the reports.
 
     The agreement degrees (the scenario's, shrunk to ``AGREEMENT_DIM_BUDGET``)
-    and their handle are realized once and shared by every pair, so a dense
-    P_S read by the oracle lives only for this call.
+    and their handle are realized once and shared by every pair.
 
     Asserts: structural and brute-force routes agree within 1e-7 in Frobenius
     norm at a common truncation (a mixed pair, one with a FullHardy slot, has

@@ -28,9 +28,9 @@ One ``SubmoduleHandle`` per realized scenario carries the slot factors:
 quotient bases, truncated shifts and compressed shifts.  The quotient is
 the tensor product of the slot quotients, so every analysis works on those
 factors; the dense ambient ``P_S`` is assembled only when
-``SubmoduleHandle.projection`` is first read.  Only the slotwise side of
-the brute-force commutator oracle reads it; its rank-r side writes
-``I - P_S`` as ``V V*`` with ``V = quotient_basis(handle)``.
+``SubmoduleHandle.projection`` is first read, which no analysis does: the
+brute-force commutator oracle writes ``I - P_S`` as ``V V*`` with
+``V = quotient_basis(handle)``.
 """
 
 from __future__ import annotations
@@ -321,18 +321,6 @@ def slot_apply(op: np.ndarray, x: np.ndarray, slot: int, dims: tuple[int, ...]) 
         )
     y = np.matmul(op, x.reshape(math.prod(dims[:slot]), dims[slot], -1))
     return y.reshape((op.shape[0] * rows // dims[slot],) + x.shape[1:])
-
-
-def apply_quotient_projector(handle_slots: list[SlotSpace], x: np.ndarray) -> np.ndarray:
-    """Apply the tensor-product quotient projector slot by slot."""
-    dims = tuple(s.dimension for s in handle_slots)
-    y = x
-    for i, s in enumerate(handle_slots):
-        if s.quotient_dimension == s.dimension:
-            continue
-        b = s.quotient_basis
-        y = slot_apply(b @ b.conj().T, y, i, dims)
-    return y
 
 
 def coordinate_shift(scenario: PolydiscScenario, slot: int, *, cap: int = MATRIX_CAP) -> np.ndarray:

@@ -6,8 +6,7 @@ and the spectrum of the compressed cross commutator.  The helpers below
 compute each quantity from ambient-size stacks, Kronecker words and
 decompositions and serve as their oracles.  The ambient brute-force
 commutator, itself the oracle of ``commutator_report``, is checked against
-its three-projection form on both of its routes; only its slotwise route
-assembles the ambient P_S.
+its three-projection form; no analysis assembles the ambient P_S.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from polyhardy import (
     verify_range,
     wandering_subspace,
 )
+from polyhardy import commutator as commutator_module
 from polyhardy.blh import shifted_span_gaps, symbol_columns
 from polyhardy.commutator import cross_commutator_bruteforce_ambient
 from polyhardy.defaults import AGREEMENT_DIM_BUDGET, SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
@@ -47,7 +47,6 @@ from polyhardy.kernel import (
     symmetric_gap,
 )
 from polyhardy.lattice import (
-    apply_quotient_projector,
     interior_mask,
     quotient_basis,
     shift_invariance_residual,
@@ -131,7 +130,10 @@ def three_projection_oracle(handle, i, j):
     dims = tuple(s.dimension for s in handle.slots)
 
     def proj(x):
-        return x - apply_quotient_projector(handle.slots, x)
+        y = x
+        for k, s in enumerate(handle.slots):
+            y = slot_apply(s.quotient_projector(), y, k, dims)
+        return x - y
 
     si = handle.slots[i].shift
     sj = handle.slots[j].shift
@@ -315,33 +317,40 @@ def test_regrouped_oracle_matches_three_projections(data):
     assert np.linalg.norm(regrouped - three_projection_oracle(handle, i, j)) <= OPERATOR_ORACLE_TOL
 
 
-# (factors, degrees, pair, whether the dense P_S is read): [deg 1, full] has
-# r = 5 against d_i + d_j + 2 * 5 = 20, so the rank-r form runs; [full, deg 3,
-# full] has r = 48 against 4 + 5 + 2 * 5 = 19, so the slotwise route runs
-ORACLE_ROUTE_CASES = [
-    ([Inner(BlaschkeProduct([0.02j])), FullHardy()], (4, 4), (0, 1), False),
+# (factors, degrees, pair): a small quotient, r = 5 of D = 25, and two full
+# slots, r = 48 of D = 80
+ORACLE_RANK_CASES = [
+    ([Inner(BlaschkeProduct([0.02j])), FullHardy()], (4, 4), (0, 1)),
     (
         [FullHardy(), Inner(BlaschkeProduct([0.02, -0.01j, 0.015])), FullHardy()],
         (3, 4, 3),
         (0, 1),
-        True,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "factors, degrees, pair, dense", ORACLE_ROUTE_CASES, ids=["rank_r", "slotwise"]
+    "factors, degrees, pair", ORACLE_RANK_CASES, ids=["small_quotient", "two_full_slots"]
 )
-def test_oracle_routes_match_three_projections(factors, degrees, pair, dense):
+def test_rank_r_oracle_matches_three_projections(factors, degrees, pair):
     handle = submodule_projection(make_scenario(factors, degrees))
     oracle = cross_commutator_bruteforce_ambient(handle, *pair)
-    assert ("projection" in vars(handle)) == dense
+    assert "projection" not in vars(handle)
     assert np.linalg.norm(oracle - three_projection_oracle(handle, *pair)) <= OPERATOR_ORACLE_TOL
 
 
 def test_oracle_is_exact_zero_on_degree_zero_pair_slot():
     scenario = make_scenario([Inner(BlaschkeProduct([])), Inner(BlaschkeProduct([0.02]))], (4, 4))
     handle = submodule_projection(scenario)
+    oracle = cross_commutator_bruteforce_ambient(handle, 0, 1)
+    assert oracle.shape == (handle.dimension, handle.dimension)
+    assert not np.any(oracle)
+    assert "projection" not in vars(handle)
+
+
+def test_oracle_is_exact_zero_on_degenerate_scenario():
+    # no Inner slot: P_S = 0 and the quotient is the whole space
+    handle = submodule_projection(make_scenario([FullHardy(), FullHardy()], (3, 4)))
     oracle = cross_commutator_bruteforce_ambient(handle, 0, 1)
     assert oracle.shape == (handle.dimension, handle.dimension)
     assert not np.any(oracle)
@@ -461,23 +470,31 @@ def test_no_projection_above_agreement_budget(monkeypatch):
     builds = _projection_builds(monkeypatch)
     bundle = _execute(slots, ["commutator", "essnorm", "c0", "decay"])
     assert bundle.blocks[0].results["pairs"]
-    assert len(builds) <= 1
-    assert all(dim <= AGREEMENT_DIM_BUDGET for dim in builds)
+    assert builds == []
 
 
-def test_commutator_pairs_share_one_projection(monkeypatch):
-    # two full slots make r large, so all three pairs take the slotwise
-    # route; they read the P_S of one shared agreement handle
+def test_commutator_pairs_share_one_agreement_handle(monkeypatch):
+    # the three pairs are judged on one agreement handle of D <= the budget,
+    # and even with two full slots (r = 200 of D = 1000) none reads P_S
     slots = [
         {"kind": "blaschke", "zeros": [[0.3, 0.0], [0.0, -0.2]], "degree": 20},
         {"kind": "full"},
         {"kind": "full"},
     ]
+    realized = []
+    realize = commutator_module.submodule_projection
+
+    def counted(scenario, **kwargs):
+        realized.append(scenario.dimension)
+        return realize(scenario, **kwargs)
+
+    monkeypatch.setattr(commutator_module, "submodule_projection", counted)
     builds = _projection_builds(monkeypatch)
     bundle = _execute(slots, ["commutator"])
     assert len(bundle.blocks[0].results["pairs"]) == 3
-    assert len(builds) == 1
-    assert builds[0] <= AGREEMENT_DIM_BUDGET
+    assert len(realized) == 1
+    assert realized[0] <= AGREEMENT_DIM_BUDGET
+    assert builds == []
 
 
 def _project_span_gap(slots):
