@@ -14,6 +14,7 @@ from .blh import (
     BlhSymbol,
     build_blh_symbol,
     evaluate_symbol,
+    inner_deviation,
     pencil_residuals,
     verify_inner,
     verify_range,

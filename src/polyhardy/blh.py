@@ -10,20 +10,33 @@ Inner slots (their tensor quotient projector) and ``A = I - B``.  ``A`` and
 ``B`` are complementary commuting orthogonal projections, so the pencil is
 inner: on the boundary circle ``Theta* Theta = A + |theta_0|^2 B = I``.
 
+For any Hermitian ``B`` and ``t = theta_0(z)``,
+
+    Theta* Theta - I = (|t|^2 - 1) B + |1 - t|^2 (B^2 - B),
+
+which is diagonal in B's eigenbasis.  ``inner_deviation`` reads the boundary
+deviation off B's eigenvalues, the products of the slot projectors'
+eigenvalues; ``verify_inner`` is its dense oracle.
+
 When slot 0 is not Inner the scenario is reordered so an Inner slot comes
 first; the permutation is recorded on the symbol.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .defaults import EXACT_NORM_DIM, GRAM_TOL, MATRIX_CAP, SPAN_RANK_REL_TOL, TAIL_WINDOW
-from .disc import BlaschkeProduct, blaschke_eval, multiplication_operator, taylor_coefficients
+from .defaults import GRAM_TOL, MATRIX_CAP, SPAN_RANK_REL_TOL, TAIL_WINDOW
+from .disc import (
+    BlaschkeProduct,
+    blaschke_eval,
+    boundary_values,
+    multiplication_operator,
+    taylor_coefficients,
+)
 from .errors import ContractError, SizingError
 from .lattice import (
     Inner,
@@ -40,6 +53,7 @@ __all__ = [
     "BlhSymbol",
     "build_blh_symbol",
     "evaluate_symbol",
+    "inner_deviation",
     "pencil_residuals",
     "verify_inner",
     "verify_range",
@@ -54,6 +68,7 @@ class BlhSymbol:
     theta0: BlaschkeProduct
     constant_part: np.ndarray  # A
     theta_part: np.ndarray  # B
+    theta_spectrum: np.ndarray  # eigenvalues of B
     scenario: PolydiscScenario  # after any reordering
     permutation: tuple[int, ...]  # permutation[new_slot] = original slot
     coefficient_dims: tuple[int, ...]
@@ -78,13 +93,20 @@ def build_blh_symbol(scenario: PolydiscScenario, *, gram_tol: float = GRAM_TOL) 
         )
     theta0 = scenario.factors[0].product
     coeff_slots = realize_slots(scenario.factors[1:], scenario.degrees[1:], gram_tol=gram_tol)
-    b = kernel.kron_all([s.quotient_projector() for s in coeff_slots], cap=MATRIX_CAP)
+    projectors = [s.quotient_projector() for s in coeff_slots]
+    b = kernel.kron_all(projectors, cap=MATRIX_CAP)
+    # the eigenvalues of a Kronecker product of Hermitian factors are the
+    # products of the factors' eigenvalues
+    spectrum = np.ones(1)
+    for q in projectors:
+        spectrum = np.outer(spectrum, np.linalg.eigvalsh(q)).ravel()
     dim = b.shape[0]
     a = np.eye(dim, dtype=complex) - b
     return BlhSymbol(
         theta0=theta0,
         constant_part=a,
         theta_part=b,
+        theta_spectrum=spectrum,
         scenario=scenario,
         permutation=tuple(perm),
         coefficient_dims=tuple(s.dimension for s in coeff_slots),
@@ -108,32 +130,44 @@ def pencil_residuals(sym: BlhSymbol) -> dict[str, float]:
     }
 
 
-def verify_inner(sym: BlhSymbol, grid_size: int = 256) -> float:
-    """max over a boundary grid of || Theta(e^{it})* Theta(e^{it}) - I ||.
+def inner_deviation(sym: BlhSymbol, grid_size: int = 256) -> float:
+    """max over a boundary grid of || Theta(e^{it})* Theta(e^{it}) - I ||, factorwise.
 
-    Uses precomputed Gram blocks so each grid point costs O(dim^2); above
-    ``EXACT_NORM_DIM`` the per-point norm is Frobenius (an upper bound on
-    the spectral norm).
+    At each grid value t of theta_0 the Hermitian matrix
+    ``(|t|^2 - 1) B + |1 - t|^2 (B^2 - B)`` has the eigenvalues
+    ``(|t|^2 - 1) beta + |1 - t|^2 (beta^2 - beta)``, beta running over the
+    spectrum of B, so this is the exact spectral norm at every coefficient
+    dimension.  ``verify_inner`` computes the same number densely.
+    """
+    if grid_size < 64:
+        raise ContractError(f"boundary grid must have at least 64 points, got {grid_size}")
+    t = boundary_values(sym.theta0, grid_size)
+    beta = sym.theta_spectrum
+    deviation = np.outer(np.abs(t) ** 2 - 1.0, beta) + np.outer(
+        np.abs(1.0 - t) ** 2, beta**2 - beta
+    )
+    return float(np.max(np.abs(deviation)))
+
+
+def verify_inner(sym: BlhSymbol, grid_size: int = 256) -> float:
+    """max over a boundary grid of || Theta(e^{it})* Theta(e^{it}) - I ||, densely.
+
+    One coefficient-space spectral norm per grid point, from precomputed Gram
+    blocks of A and B: the dense oracle of ``inner_deviation``.  It reads A
+    and B as stored, so it also sees a pencil whose A is not I - B.
     """
     if grid_size < 64:
         raise ContractError(f"boundary grid must have at least 64 points, got {grid_size}")
     a, b = sym.constant_part, sym.theta_part
-    dim = a.shape[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(a.shape[0], dtype=complex)
     gaa = a.conj().T @ a
     gbb = b.conj().T @ b
     gab = a.conj().T @ b
     gba = b.conj().T @ a
     worst = 0.0
-    for k in range(grid_size):
-        z = cmath.exp(2j * cmath.pi * k / grid_size)
-        t = blaschke_eval(sym.theta0, z)
+    for t in boundary_values(sym.theta0, grid_size):
         g = gaa + (abs(t) ** 2) * gbb + t * gab + t.conjugate() * gba - eye
-        if dim <= EXACT_NORM_DIM:
-            dev = kernel.operator_norm(g)
-        else:
-            dev = float(np.linalg.norm(g))
-        worst = max(worst, dev)
+        worst = max(worst, kernel.operator_norm(g))
     return worst
 
 

@@ -166,6 +166,51 @@ def cross_commutator_structural(handle: SubmoduleHandle, i: int, j: int) -> np.n
     return kernel.kron_all(mats, cap=handle.dimension)
 
 
+def _pair_factor_spectra(
+    scenario: PolydiscScenario, i: int, j: int
+) -> dict[int, tuple[tuple[int, int], np.ndarray]]:
+    """Shape and singular values of the pair factors c_i and c_j*.
+
+    Both are computed at the high one-variable truncation of their Blaschke
+    degree, so they do not depend on the degrees of any slot.
+    """
+    _check_pair(scenario, i, j)
+    pair = {i: _require_inner(scenario, i), j: _require_inner(scenario, j)}
+    factors = {}
+    for k, b in pair.items():
+        if b.degree == 0:
+            # constant inner factor: empty model space, empty compression
+            factors[k] = ((0, 1), np.zeros(0))
+            continue
+        c = rank_one_compression(b, disc_truncation(b.degree))
+        c = c if k == i else c.conj().T
+        factors[k] = (c.shape, kernel.singular_values(c))
+    return factors
+
+
+def _word_spectrum(
+    scenario: PolydiscScenario, pair_factors: dict[int, tuple[tuple[int, int], np.ndarray]]
+) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """``cross_commutator_spectrum`` from pair factors already computed."""
+    precision = tuple(
+        disc_truncation(f.product.degree) if isinstance(f, Inner) else scenario.degrees[k]
+        for k, f in enumerate(scenario.factors)
+    )
+    shapes: list[tuple[int, int]] = []
+    for k, f in enumerate(scenario.factors):
+        if k in pair_factors:
+            shapes.append(pair_factors[k][0])
+        else:
+            d = f.product.degree if isinstance(f, Inner) else scenario.degrees[k] + 1
+            shapes.append((d, d))
+    identity = math.prod(r for k, (r, _) in enumerate(shapes) if k not in pair_factors)
+    first, second = (spectrum for _, spectrum in pair_factors.values())
+    products = np.repeat(np.outer(first, second).ravel(), identity)
+    svals = np.zeros(min(math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)))
+    svals[: products.size] = np.sort(products)[::-1]
+    return svals, tuple(r for r, _ in shapes), precision
+
+
 def cross_commutator_spectrum(
     scenario: PolydiscScenario, i: int, j: int
 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
@@ -180,33 +225,7 @@ def cross_commutator_spectrum(
     per identity dimension, zero-padded to min(rows, cols) of the word; the
     word itself is never formed.
     """
-    _check_pair(scenario, i, j)
-    pair = {i: _require_inner(scenario, i), j: _require_inner(scenario, j)}
-    precision = tuple(
-        disc_truncation(f.product.degree) if isinstance(f, Inner) else scenario.degrees[k]
-        for k, f in enumerate(scenario.factors)
-    )
-    shapes: list[tuple[int, int]] = []
-    spectra: list[np.ndarray] = []
-    for k, f in enumerate(scenario.factors):
-        if k in pair:
-            if pair[k].degree == 0:
-                # constant inner factor: empty model space, empty compression
-                shapes.append((0, 1))
-                spectra.append(np.zeros(0))
-                continue
-            c = rank_one_compression(pair[k], precision[k])
-            c = c if k == i else c.conj().T
-            shapes.append(c.shape)
-            spectra.append(kernel.singular_values(c))
-        else:
-            d = f.product.degree if isinstance(f, Inner) else scenario.degrees[k] + 1
-            shapes.append((d, d))
-    identity = math.prod(r for k, (r, _) in enumerate(shapes) if k not in pair)
-    products = np.repeat(np.outer(spectra[0], spectra[1]).ravel(), identity)
-    svals = np.zeros(min(math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)))
-    svals[: products.size] = np.sort(products)[::-1]
-    return svals, tuple(r for r, _ in shapes), precision
+    return _word_spectrum(scenario, _pair_factor_spectra(scenario, i, j))
 
 
 def commutator_report(
@@ -381,6 +400,8 @@ def essential_dc_diagnostic(
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ContractError("schedule must be strictly increasing with length >= 3")
     predicted = predicted_compression_norm(bi) * predicted_compression_norm(bj)
+    # the pair factors do not depend on the schedule
+    pair_factors = _pair_factor_spectra(scenario, i, j)
 
     snapshots: list[tuple[float, ...]] = []
     ranks: list[int] = []
@@ -393,7 +414,7 @@ def essential_dc_diagnostic(
         # staged scenarios only feed the spectrum route, which assembles no
         # ambient tensor, so the ambient cap does not apply to them
         staged = PolydiscScenario(factors=scenario.factors, degrees=degrees)
-        svals, _, _ = cross_commutator_spectrum(staged, i, j)
+        svals, _, _ = _word_spectrum(staged, pair_factors)
         rank = kernel.spectrum_rank(svals, rank_tol)
         ranks.append(rank)
         plateau_counts.append(

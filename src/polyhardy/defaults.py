@@ -64,10 +64,6 @@ AGREEMENT_GRAM_TOL = 1e-2
 NONCOMPACT_PLATEAU_FRACTION = 0.5
 
 DEFAULT_BOUNDARY_GRID = 256
-# Coefficient dimension up to which the boundary inner deviation is the
-# spectral norm at each grid point; above it the Frobenius norm, an upper
-# bound, keeps each point O(dim^2).
-EXACT_NORM_DIM = 256
 DEFAULT_DECAY_SCHEDULE = (40, 60, 80)
 
 # Default truncation for a FullHardy tensor slot.

@@ -14,7 +14,6 @@ in this module is a product of two such tails.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ __all__ = [
     "BlaschkeProduct",
     "ModelSpace1D",
     "blaschke_eval",
+    "boundary_values",
     "model_space",
     "multiplication_operator",
     "rank_one_compression",
@@ -282,10 +282,10 @@ def predicted_compression_norm(b: BlaschkeProduct) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(v0) ** 2)))
 
 
-def boundary_unimodularity_deviation(b: BlaschkeProduct, grid: int = 256) -> float:
-    """max over a boundary grid of | |b(e^{i t})| - 1 |."""
-    worst = 0.0
-    for k in range(grid):
-        z = cmath.exp(2j * cmath.pi * k / grid)
-        worst = max(worst, abs(abs(blaschke_eval(b, z)) - 1.0))
-    return worst
+def boundary_values(b: BlaschkeProduct, grid: int) -> np.ndarray:
+    """Values of b at the ``grid`` points e^{2 pi i k / grid} of the unit circle."""
+    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    values = np.full(grid, b.constant, dtype=complex)
+    for a in b.zeros:
+        values *= (z - a) / (1.0 - a.conjugate() * z)
+    return values

@@ -231,7 +231,7 @@ def _run_blh(scenario: PolydiscScenario, options: RunOptions):
     sym = blh_mod.build_blh_symbol(scenario)
     handle = submodule_projection(sym.scenario)
     residuals = blh_mod.pencil_residuals(sym)
-    deviation = blh_mod.verify_inner(sym, options.grid)
+    deviation = blh_mod.inner_deviation(sym, options.grid)
     gap = blh_mod.verify_range(sym, handle)
     wandering = blh_mod.wandering_subspace(handle, 0)
     results = {

@@ -14,7 +14,7 @@ from polyhardy import (
     taylor_coefficients,
 )
 from polyhardy.disc import (
-    boundary_unimodularity_deviation,
+    boundary_values,
     predicted_compression_norm,
     rank_one_compression_parts,
     shift_range_columns,
@@ -60,7 +60,10 @@ def test_boundary_unimodularity():
     rng = np.random.default_rng(10)
     for _ in range(5):
         b = random_blaschke(rng, max_degree=5, max_modulus=0.7)
-        assert boundary_unimodularity_deviation(b, 256) <= 1e-10
+        values = boundary_values(b, 256)
+        assert values.shape == (256,)
+        assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-10
+        assert abs(values[64] - blaschke_eval(b, 1j)) <= 1e-14
 
 
 def test_taylor_monomial():

@@ -1,8 +1,9 @@
 """Factorwise routes against dense oracles.
 
 The production routes in ``blh``, ``lattice`` and ``commutator`` work on
-per-slot factors: range gap, span gap, shift invariance, wandering basis
-and the spectrum of the compressed cross commutator.  The helpers below
+per-slot factors: boundary inner deviation, range gap, span gap, shift
+invariance, wandering basis and the spectrum of the compressed cross
+commutator.  The helpers below
 compute each quantity from ambient-size stacks, Kronecker words and
 decompositions and serve as their oracles.  The ambient brute-force
 commutator, itself the oracle of ``commutator_report``, is checked against
@@ -11,12 +12,13 @@ its three-projection form; no analysis assembles the ambient P_S.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import cached_property, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyhardy import (
@@ -29,8 +31,10 @@ from polyhardy import (
     cross_commutator_spectrum,
     essential_dc_diagnostic,
     fingerprint,
+    inner_deviation,
     make_scenario,
     submodule_projection,
+    verify_inner,
     verify_range,
     wandering_subspace,
 )
@@ -39,6 +43,7 @@ from polyhardy.blh import shifted_span_gaps, symbol_columns
 from polyhardy.commutator import cross_commutator_bruteforce_ambient
 from polyhardy.defaults import AGREEMENT_DIM_BUDGET, SPAN_GAP_TOL, TAIL_WINDOW, disc_truncation
 from polyhardy.disc import multiplication_operator, rank_one_compression
+from polyhardy.errors import ContractError
 from polyhardy.kernel import (
     kron_all,
     operator_norm,
@@ -53,7 +58,7 @@ from polyhardy.lattice import (
     slot_apply,
     submodule_span_gap,
 )
-from polyhardy.report import execute
+from polyhardy.report import RunOptions, execute
 from polyhardy.scenario import parse_scenario_dict
 
 ORACLE_TOL = 1e-12
@@ -264,6 +269,54 @@ def test_shift_invariance_nonzero_matches_dense_oracle():
     assert abs(residual - dense_shift_invariance_residual(handle, 1)) <= OPERATOR_ORACLE_TOL
 
 
+def scaled_pencil(sym, scale):
+    """The pencil (I - sB) + theta_0 sB: inner only at s = 1, Hermitian at every s."""
+    b = scale * sym.theta_part
+    return dataclasses.replace(
+        sym,
+        constant_part=np.eye(b.shape[0], dtype=complex) - b,
+        theta_part=b,
+        theta_spectrum=scale * sym.theta_spectrum,
+    )
+
+
+# a full slot 0, which permutes the symbol, and degree-0 Inner slots
+@PROPERTY_SETTINGS
+@given(scenario=scenarios(), scale=st.floats(0.5, 1.0))
+@example(
+    scenario=make_scenario(
+        [FullHardy(), Inner(BlaschkeProduct([0.3j])), Inner(BlaschkeProduct([]))], (4, 5, 3)
+    ),
+    scale=1.0,
+)
+@example(
+    scenario=make_scenario(
+        [Inner(BlaschkeProduct([])), FullHardy(), Inner(BlaschkeProduct([0.01, -0.005j])), FullHardy()],
+        (3, 2, 3, 2),
+    ),
+    scale=0.7,
+)
+def test_inner_deviation_matches_dense_oracle(scenario, scale):
+    sym = build_blh_symbol(scenario)
+    assert sym.theta_spectrum.shape == (sym.coefficient_dimension,)
+    for pencil in (sym, scaled_pencil(sym, scale)):
+        assert abs(inner_deviation(pencil, 128) - verify_inner(pencil, 128)) <= OPERATOR_ORACLE_TOL
+
+
+def test_scaled_pencil_is_flagged_by_both_routes():
+    scenario = make_scenario([Inner(BlaschkeProduct([0.4])), Inner(BlaschkeProduct([0.0]))], (12, 12))
+    broken = scaled_pencil(build_blh_symbol(scenario), 0.9)
+    factorwise = inner_deviation(broken, 256)
+    assert factorwise > 1e-2
+    assert abs(factorwise - verify_inner(broken, 256)) <= OPERATOR_ORACLE_TOL
+
+
+def test_inner_deviation_grid_floor():
+    sym = build_blh_symbol(make_scenario([Inner(BlaschkeProduct([0.0])), FullHardy()], (6, 6)))
+    with pytest.raises(ContractError):
+        inner_deviation(sym, 32)
+
+
 @st.composite
 def spectrum_cases(draw):
     """A scenario and an Inner pair (i, j), with the compressed word at most ~400 rows.
@@ -358,7 +411,7 @@ def test_oracle_is_exact_zero_on_degenerate_scenario():
 
 
 def _recorded_shapes(monkeypatch):
-    """Shapes of every operand passed to numpy's SVD, eigh and QR from now on."""
+    """Shapes of every operand passed to numpy's decompositions from now on."""
     shapes = []
 
     def recording(name):
@@ -370,7 +423,7 @@ def _recorded_shapes(monkeypatch):
 
         return call
 
-    for name in ("svd", "eigh", "qr"):
+    for name in ("svd", "svdvals", "eigh", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, name, recording(name))
     return shapes
 
@@ -400,14 +453,15 @@ def test_no_commutator_decomposition_beyond_one_slot(monkeypatch):
 
 
 def test_no_ambient_size_decomposition(monkeypatch):
-    # every SVD, eigh and QR stays within one slot or the coefficient space
+    # every decomposition stays within one slot or the coefficient space
     scenario = make_scenario(
         [Inner(BlaschkeProduct([0.4, -0.3j])), Inner(BlaschkeProduct([0.5]))], (31, 31)
     )
-    sym = build_blh_symbol(scenario)
     handle = submodule_projection(scenario)
     bound = max(scenario.dims[0], math.prod(scenario.dims[1:]))
     shapes = _recorded_shapes(monkeypatch)
+    sym = build_blh_symbol(scenario)
+    inner_deviation(sym)
     verify_range(sym, handle)
     wandering_subspace(handle, 0)
     submodule_span_gap(handle)
@@ -433,11 +487,11 @@ def _projection_builds(monkeypatch):
     return builds
 
 
-def _execute(slots, analyses, second=None):
+def _execute(slots, analyses, second=None, options=None):
     doc = {"schema_version": 1, "n": len(slots), "slots": slots, "analyses": analyses}
     if second is not None:
         doc["second_scenario"] = {"n": len(second), "slots": second}
-    bundle = execute(parse_scenario_dict(doc))
+    bundle = execute(parse_scenario_dict(doc), options)
     assert not bundle.failed_blocks
     return bundle
 
@@ -495,6 +549,37 @@ def test_commutator_pairs_share_one_agreement_handle(monkeypatch):
     assert len(realized) == 1
     assert realized[0] <= AGREEMENT_DIM_BUDGET
     assert builds == []
+
+
+def test_blh_decompositions_do_not_grow_with_the_grid(monkeypatch):
+    slots = [
+        {"kind": "blaschke", "zeros": [[0.4, 0.0], [0.0, -0.3]], "degree": 15},
+        {"kind": "blaschke", "zeros": [[0.5, 0.0]], "degree": 15},
+    ]
+    counts = []
+    for grid in (64, 1024):
+        shapes = _recorded_shapes(monkeypatch)
+        _execute(slots, ["blh"], options=RunOptions(grid=grid))
+        counts.append(len(shapes))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+def test_decay_computes_pair_factors_once(monkeypatch):
+    compress = commutator_module.rank_one_compression
+    calls = []
+
+    def counted(b, n, **kwargs):
+        calls.append(n)
+        return compress(b, n, **kwargs)
+
+    monkeypatch.setattr(commutator_module, "rank_one_compression", counted)
+    scenario = make_scenario(
+        [Inner(BlaschkeProduct([0.3, -0.2j])), FullHardy(), Inner(BlaschkeProduct([0.4j]))],
+        (20, 2, 16),
+    )
+    essential_dc_diagnostic(scenario, (0, 2), (20, 30, 40))
+    assert calls == [disc_truncation(2), disc_truncation(1)]
 
 
 def _project_span_gap(slots):
